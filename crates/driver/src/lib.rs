@@ -176,6 +176,21 @@ impl CaseOutcome {
     pub fn diagnostic(&self) -> Option<&VerifyDiagnostic> {
         self.report.diagnostic.as_ref()
     }
+
+    /// The verified outcome a matching cache record stands for. It carries
+    /// the cold proving time from the record, so cached reports keep a
+    /// meaningful Table 1 "Time" column.
+    pub fn from_record(target: &Target, record: &CacheRecord) -> CaseOutcome {
+        CaseOutcome {
+            kind: target.kind,
+            report: CaseReport {
+                name: target.name.clone(),
+                verified: true,
+                elapsed: Duration::from_nanos(record.elapsed_nanos),
+                diagnostic: None,
+            },
+        }
+    }
 }
 
 /// The aggregated result of a [`HybridSession::verify_all`] batch.
@@ -1191,6 +1206,66 @@ impl HybridSession {
         }
     }
 
+    /// Runs one target (panic-isolated, like every batch target) under
+    /// dependency recording and returns its outcome together with its
+    /// stable read-set: every item the proof read, misses included, with
+    /// the item's stable fingerprint, sorted by (kind, name). That is
+    /// exactly the `deps` of the [`CacheRecord`] that
+    /// [`HybridSession::cache_record`] builds for it.
+    ///
+    /// The recording window is global to the program, so calls must not
+    /// overlap; the window is closed even when the proof panics.
+    pub fn run_target_recorded(&self, t: &Target) -> (CaseOutcome, Vec<DepEntry>) {
+        let prog = &self.verifier.engine.prog;
+        prog.begin_dep_recording();
+        let outcome = self.run_target(t);
+        let mut deps: Vec<DepEntry> = prog
+            .end_dep_recording()
+            .into_iter()
+            .map(|(kind, name)| DepEntry {
+                kind: kind.label().to_string(),
+                name: name.to_string(),
+                fingerprint: stable_fingerprint_key(prog, kind, name),
+            })
+            .collect();
+        // The recording sink orders by Symbol numeric id, which depends on
+        // interning order; (kind, name) order is the same in every process.
+        deps.sort_by(|a, b| (&a.kind, &a.name).cmp(&(&b.kind, &b.name)));
+        (outcome, deps)
+    }
+
+    /// The record in `store` that proves `t` under this session's namespace
+    /// and whose target *and* dependency fingerprints all match the current
+    /// program, if there is one.
+    pub fn lookup_record(&self, store: &dyn CacheStore, t: &Target) -> Option<CacheRecord> {
+        let prog = &self.verifier.engine.prog;
+        let tkey = proof_cache::target_key(self.namespace, t.kind.label(), &t.name);
+        store.lookup(tkey).into_iter().find(|rec| {
+            rec.namespace == self.namespace
+                && rec.kind_label == t.kind.label()
+                && rec.name == t.name
+                && record_matches(rec, prog)
+        })
+    }
+
+    /// The persistent record of a verified outcome of `t`, given the stable
+    /// read-set its proof recorded (see [`HybridSession::run_target_recorded`]).
+    pub fn cache_record(
+        &self,
+        t: &Target,
+        outcome: &CaseOutcome,
+        deps: &[DepEntry],
+    ) -> CacheRecord {
+        CacheRecord {
+            namespace: self.namespace,
+            kind_label: t.kind.label().to_string(),
+            name: t.name.clone(),
+            target_fp: stable_target_fingerprint(&self.verifier.engine.prog, &t.name),
+            deps: deps.to_vec(),
+            elapsed_nanos: outcome.report.elapsed.as_nanos() as u64,
+        }
+    }
+
     /// Verifies every registered target and aggregates the outcomes.
     ///
     /// With more than one worker the targets are distributed over a pool of
@@ -1284,38 +1359,18 @@ impl HybridSession {
         let start = Instant::now();
         let stats_before = self.verifier.stats();
         let solver_before = self.verifier.solver_stats();
-        let prog = &self.verifier.engine.prog;
         let mut counters = RunCounters::default();
         let mut cases = Vec::with_capacity(self.targets.len());
         for t in &self.targets {
-            let tkey = proof_cache::target_key(self.namespace, t.kind.label(), &t.name);
-            let hit = store.lookup(tkey).into_iter().find(|rec| {
-                rec.namespace == self.namespace
-                    && rec.kind_label == t.kind.label()
-                    && rec.name == t.name
-                    && record_matches(rec, prog)
-            });
-            if let Some(rec) = hit {
+            if let Some(rec) = self.lookup_record(store, t) {
                 counters.hits += 1;
-                cases.push(CaseOutcome {
-                    kind: t.kind,
-                    report: CaseReport {
-                        name: t.name.clone(),
-                        verified: true,
-                        // The cold proving time, so cached reports keep a
-                        // meaningful Table 1 "Time" column.
-                        elapsed: Duration::from_nanos(rec.elapsed_nanos),
-                        diagnostic: None,
-                    },
-                });
+                cases.push(CaseOutcome::from_record(t, &rec));
                 continue;
             }
             counters.misses += 1;
-            prog.begin_dep_recording();
-            let outcome = self.run_target(t);
-            let reads = prog.end_dep_recording();
+            let (outcome, deps) = self.run_target_recorded(t);
             if outcome.verified() {
-                store.insert(&self.record_of(t, &outcome, reads));
+                store.insert(&self.cache_record(t, &outcome, &deps));
                 counters.writes += 1;
             }
             cases.push(outcome);
@@ -1337,38 +1392,6 @@ impl HybridSession {
             backend: self.verifier.backend_kind(),
             solver,
             lints: self.lint_diagnostics(),
-        }
-    }
-
-    /// Builds the persistent record of a freshly verified target from its
-    /// recorded read-set, with every fingerprint recomputed stably
-    /// (name-based) so it means the same thing in any process.
-    fn record_of(
-        &self,
-        target: &Target,
-        outcome: &CaseOutcome,
-        reads: Vec<(gillian_engine::gil::DepKind, Symbol)>,
-    ) -> CacheRecord {
-        let prog = &self.verifier.engine.prog;
-        let mut deps: Vec<DepEntry> = reads
-            .into_iter()
-            .map(|(kind, name)| DepEntry {
-                kind: kind.label().to_string(),
-                name: name.to_string(),
-                fingerprint: stable_fingerprint_key(prog, kind, name),
-            })
-            .collect();
-        // Sorted by (kind, name) for deterministic record contents: the
-        // recording sink orders by Symbol numeric id, which is
-        // interning-order-dependent.
-        deps.sort_by(|a, b| (&a.kind, &a.name).cmp(&(&b.kind, &b.name)));
-        CacheRecord {
-            namespace: self.namespace,
-            kind_label: target.kind.label().to_string(),
-            name: target.name.clone(),
-            target_fp: stable_target_fingerprint(prog, &target.name),
-            deps,
-            elapsed_nanos: outcome.report.elapsed.as_nanos() as u64,
         }
     }
 }

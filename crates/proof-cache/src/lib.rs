@@ -9,7 +9,9 @@
 //!   platforms and Rust releases — the only hasher allowed near the disk.
 //! - [`stable`]: name-based, arena-independent structural fingerprints of
 //!   specs, predicates, lemmas and procedures (never `Symbol`/`TermId`
-//!   numeric identity).
+//!   numeric identity). They are the only item fingerprints: the daemon's
+//!   dependency tracker keys on them too, so its read-sets and the records
+//!   on disk carry the same values.
 //! - [`store`]: the [`CacheRecord`] format and the pluggable
 //!   [`CacheStore`] trait with std-only [`MemStore`] / [`DirStore`]
 //!   implementations.

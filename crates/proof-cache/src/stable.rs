@@ -1,17 +1,17 @@
-//! Cross-process stable fingerprints of program items.
+//! Cross-process stable fingerprints of program items — the one item
+//! fingerprint of the pipeline.
 //!
-//! The daemon's session fingerprints (`gillian-server`'s `fingerprint`
-//! module) hash arena `TermId`s — content-addressed *within* one session,
-//! meaningless outside it. Anything persisted to disk must instead hash the
-//! item's *structure*: constructor tags plus interned **names** (via
-//! `Symbol::as_str`), never `Symbol`/`TermId` numeric identity, which
-//! depends on interning order. Combined with the fixed-key
-//! [`StableHasher`], two processes loading structurally identical items
-//! always agree on every fingerprint here.
+//! Every fingerprint hashes the item's *structure*: constructor tags plus
+//! interned **names** (via `Symbol::as_str`), never `Symbol`/`TermId`
+//! numeric identity, which depends on interning order. Combined with the
+//! fixed-key [`StableHasher`], two processes loading structurally identical
+//! items always agree on every fingerprint here. Cosmetic fields such as
+//! `Proc::source_lines` are skipped.
 //!
-//! The traversals deliberately mirror the session fingerprints item-field
-//! by item-field (same u8 tags, same skipped cosmetic fields such as
-//! `Proc::source_lines`), so the two notions of "changed" coincide.
+//! The same values serve both consumers: proof-cache records on disk, and
+//! the `gillian serve` dependency tracker, which compares them to decide
+//! which proofs an edit invalidates. A tracker read-set therefore *is* a
+//! record read-set.
 
 use crate::hash::StableHasher;
 use gillian_engine::gil::{Cmd, DepKind, LogicCmd, Proc, Prog};
@@ -355,6 +355,13 @@ mod tests {
         assert_eq!(stable_proc_sig(&proc), 0xbfa80fc26f1b6526);
         let lemma = Lemma::new("l", &["x"], Asrt::Emp, Asrt::Emp);
         assert_eq!(stable_lemma(&lemma), 0xc46ac0f687ded4e7);
+        // The per-kind sentinels of absent items: a recorded miss is part of
+        // every read-set, on disk and in the daemon's dependency tracker.
+        assert_eq!(absent(DepKind::Proc), 0x006e9c3121da53d7);
+        assert_eq!(absent(DepKind::Pred), 0xa46d6af96207fc02);
+        assert_eq!(absent(DepKind::Spec), 0x2701b32be4786abc);
+        assert_eq!(absent(DepKind::Lemma), 0xd4d43993540f885a);
+        assert_eq!(absent(DepKind::ProcSig), 0xb963ab2fe4e54709);
     }
 
     #[test]

@@ -2,17 +2,20 @@
 //!
 //! During each target's verification the engine's [`Prog`] lookups are
 //! recorded (see `gillian_engine::gil::DepSink`), yielding the set of
-//! (kind, name) keys the proof *read*, each paired with the content
-//! fingerprint of what was behind the key at the time. An update request
-//! then only has to compare fingerprints: if the item behind a key changed,
-//! the tracker dirties exactly the reverse-dependency cone of that key, and
-//! the next `verify` answers every clean target from the retained outcome
-//! cache.
+//! (kind, name) keys the proof *read*, each paired with the stable
+//! fingerprint of what was behind the key at the time — the same
+//! [`DepEntry`] read-set a proof-cache record stores, so a hydrated record
+//! seeds the tracker as is and a clean target's record is rebuilt from the
+//! tracker alone. An update request then only has to compare fingerprints:
+//! if the item behind a key changed, the tracker dirties exactly the
+//! reverse-dependency cone of that key, and the next `verify` answers every
+//! clean target from the retained outcome cache.
 //!
 //! [`Prog`]: gillian_engine::gil::Prog
 
 use driver::CaseOutcome;
 use gillian_engine::gil::DepKind;
+use proof_cache::DepEntry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A dependency key: one item a verification target can read.
@@ -22,9 +25,9 @@ pub type DepKey = (DepKind, String);
 /// inverted edges, the dirty set, and the last known outcome.
 #[derive(Debug, Default)]
 pub struct DepTracker {
-    /// target -> the keys it read during its last run, with the fingerprint
-    /// each key had at that time.
-    deps: HashMap<String, Vec<(DepKey, u64)>>,
+    /// target -> the keys it read during its last run, with the stable
+    /// fingerprint each key had at that time.
+    deps: HashMap<String, Vec<DepEntry>>,
     /// key -> targets whose last run read it.
     rdeps: BTreeMap<DepKey, BTreeSet<String>>,
     /// Targets that must re-run on the next `verify`.
@@ -50,20 +53,20 @@ impl DepTracker {
 
     /// Record the result of (re-)running `target`: replace its dependency
     /// edges, rebuild the inverted edges, store the outcome, mark it clean.
-    pub fn record(&mut self, target: &str, reads: Vec<(DepKey, u64)>, outcome: CaseOutcome) {
+    pub fn record(&mut self, target: &str, reads: Vec<DepEntry>, outcome: CaseOutcome) {
         if let Some(old) = self.deps.get(target) {
-            for (key, _) in old {
-                if let Some(set) = self.rdeps.get_mut(key) {
+            for key in old.iter().filter_map(dep_key) {
+                if let Some(set) = self.rdeps.get_mut(&key) {
                     set.remove(target);
                     if set.is_empty() {
-                        self.rdeps.remove(key);
+                        self.rdeps.remove(&key);
                     }
                 }
             }
         }
-        for (key, _) in &reads {
+        for key in reads.iter().filter_map(dep_key) {
             self.rdeps
-                .entry(key.clone())
+                .entry(key)
                 .or_default()
                 .insert(target.to_string());
         }
@@ -90,8 +93,12 @@ impl DepTracker {
             let seen = self
                 .deps
                 .get(&target)
-                .and_then(|reads| reads.iter().find(|(k, _)| k == key))
-                .map(|(_, fp)| *fp);
+                .and_then(|reads| {
+                    reads
+                        .iter()
+                        .find(|d| d.kind == key.0.label() && d.name == key.1)
+                })
+                .map(|d| d.fingerprint);
             if seen != Some(current_fingerprint) && self.dirty.insert(target.clone()) {
                 dirtied.push(target);
             }
@@ -121,7 +128,7 @@ impl DepTracker {
     }
 
     /// The keys `target` read during its last run, if any.
-    pub fn deps_of(&self, target: &str) -> Option<&[(DepKey, u64)]> {
+    pub fn deps_of(&self, target: &str) -> Option<&[DepEntry]> {
         self.deps.get(target).map(|v| v.as_slice())
     }
 
@@ -132,6 +139,12 @@ impl DepTracker {
             .map(|s| s.iter().cloned().collect())
             .unwrap_or_default()
     }
+}
+
+/// The tracker key of a read-set entry. Every entry the driver records or a
+/// matching cache record carries has a known kind label.
+fn dep_key(d: &DepEntry) -> Option<DepKey> {
+    Some((DepKind::from_label(&d.kind)?, d.name.clone()))
 }
 
 #[cfg(test)]
@@ -156,12 +169,20 @@ mod tests {
         (kind, name.to_string())
     }
 
+    fn read(kind: DepKind, name: &str, fingerprint: u64) -> DepEntry {
+        DepEntry {
+            kind: kind.label().to_string(),
+            name: name.to_string(),
+            fingerprint,
+        }
+    }
+
     #[test]
     fn new_targets_start_dirty_and_record_cleans() {
         let mut t = DepTracker::new(["f".to_string(), "g".to_string()]);
         assert!(t.is_dirty("f"));
         assert!(t.is_dirty("g"));
-        t.record("f", vec![(key(DepKind::Spec, "f"), 1)], ok_outcome());
+        t.record("f", vec![read(DepKind::Spec, "f", 1)], ok_outcome());
         assert!(!t.is_dirty("f"));
         assert!(t.is_dirty("g"));
         assert!(t.cached("f").is_some());
@@ -176,16 +197,16 @@ mod tests {
     #[test]
     fn dirty_key_hits_only_readers_with_stale_fingerprints() {
         let mut t = DepTracker::default();
-        t.record("inc", vec![(key(DepKind::Spec, "inc"), 10)], ok_outcome());
+        t.record("inc", vec![read(DepKind::Spec, "inc", 10)], ok_outcome());
         t.record(
             "inc2",
             vec![
-                (key(DepKind::Spec, "inc2"), 20),
-                (key(DepKind::Spec, "inc"), 10),
+                read(DepKind::Spec, "inc2", 20),
+                read(DepKind::Spec, "inc", 10),
             ],
             ok_outcome(),
         );
-        t.record("base", vec![(key(DepKind::Spec, "base"), 30)], ok_outcome());
+        t.record("base", vec![read(DepKind::Spec, "base", 30)], ok_outcome());
 
         // Same fingerprint: nothing to do.
         assert!(t.dirty_key(&key(DepKind::Spec, "inc"), 10).is_empty());
@@ -205,10 +226,10 @@ mod tests {
     #[test]
     fn record_replaces_stale_reverse_edges() {
         let mut t = DepTracker::default();
-        t.record("f", vec![(key(DepKind::Pred, "p"), 1)], ok_outcome());
+        t.record("f", vec![read(DepKind::Pred, "p", 1)], ok_outcome());
         assert_eq!(t.readers_of(&key(DepKind::Pred, "p")), vec!["f"]);
         // Second run no longer reads p.
-        t.record("f", vec![(key(DepKind::Pred, "q"), 2)], ok_outcome());
+        t.record("f", vec![read(DepKind::Pred, "q", 2)], ok_outcome());
         assert!(t.readers_of(&key(DepKind::Pred, "p")).is_empty());
         assert_eq!(t.readers_of(&key(DepKind::Pred, "q")), vec!["f"]);
         // Changing p now dirties nothing.
@@ -218,7 +239,7 @@ mod tests {
     #[test]
     fn dirty_key_force_ignores_fingerprints() {
         let mut t = DepTracker::default();
-        t.record("f", vec![(key(DepKind::Proc, "f"), 5)], ok_outcome());
+        t.record("f", vec![read(DepKind::Proc, "f", 5)], ok_outcome());
         let dirtied = t.dirty_key_force(&key(DepKind::Proc, "f"));
         assert_eq!(dirtied, vec!["f".to_string()]);
     }

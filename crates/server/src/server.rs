@@ -5,25 +5,33 @@
 //! retained [`HybridSession`](driver::HybridSession) and is shared by every
 //! request, while each request only allocates its own response. Verification
 //! runs record, per target, exactly which specs/procs/preds/lemmas the proof
-//! read (through the engine's `Prog` lookups) together with content
+//! read (through the engine's `Prog` lookups) together with the stable
 //! fingerprints of those items; `update_spec`/`update_fn` then dirty only
 //! the reverse-dependency cone of the edited item, and `verify` answers
 //! every clean target from the retained outcome cache.
+//!
+//! Running a target, matching and building proof-cache records belong to
+//! the driver ([`HybridSession::run_target_recorded`],
+//! [`HybridSession::lookup_record`], [`HybridSession::cache_record`]); the
+//! daemon adds only the wire handling, the transient-outcome rule and the
+//! dependency cone.
+//!
+//! [`HybridSession::run_target_recorded`]: driver::HybridSession::run_target_recorded
+//! [`HybridSession::lookup_record`]: driver::HybridSession::lookup_record
+//! [`HybridSession::cache_record`]: driver::HybridSession::cache_record
 
 use crate::db::{mode_label, parse_mode, workload, ProgramDb};
 use crate::depgraph::{DepKey, DepTracker};
-use crate::fingerprint::{fingerprint_key, fingerprint_pred, fingerprint_spec};
 use crate::json::Value;
 use crate::protocol::{parse_request, Request};
 use creusot_lite::{elaborate, parse_term};
-use driver::{CaseOutcome, SolverStats, Target, TargetKind};
+use driver::{CaseOutcome, HybridSession, SolverStats, Target};
 use gillian_engine::gil::DepKind;
 use gillian_lint::{LintDiagnostic, Severity};
-use gillian_rust::verifier::{CaseReport, VerifyDiagnostic};
+use gillian_rust::verifier::VerifyDiagnostic;
 use gillian_solver::Symbol;
 use proof_cache::{
-    record_matches, stable_fingerprint_key, stable_target_fingerprint, CacheRecord, CacheStore,
-    DepEntry, DirStore, RunCounters,
+    stable_fingerprint_key, stable_pred, stable_spec, CacheStore, DirStore, RunCounters,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
@@ -234,7 +242,7 @@ impl ServerCore {
             let mut tracker = DepTracker::new(db.session.targets().iter().map(|t| t.name.clone()));
             let mut disk = RunCounters::default();
             if let Some(store) = &self.store {
-                hydrated = hydrate(store.as_ref(), &db, &mut tracker);
+                hydrated = hydrate(store.as_ref(), &db.session, &mut tracker);
                 disk.hits = hydrated.len() as u64;
             }
             self.sessions
@@ -324,11 +332,12 @@ impl ServerCore {
         // Per-request deadline: applied for this run only and restored
         // afterwards, so one client's budget never leaks into the session
         // configuration the next request sees.
-        let saved_timeout = loaded.db.session.verifier().engine.opts.target_timeout;
+        let saved_timeout = loaded.db.session.target_timeout();
         if let Some(ms) = timeout_ms {
             loaded.db.session.verifier_mut().engine.opts.target_timeout =
                 Some(Duration::from_millis(ms));
         }
+        let deadline_armed = loaded.db.session.target_timeout().is_some();
 
         let before = loaded.db.session.verifier().solver_stats();
         let disk_before = loaded.disk;
@@ -339,15 +348,28 @@ impl ServerCore {
 
         for t in &selected {
             if force || loaded.tracker.is_dirty(&t.name) {
-                let (outcome, reads) = run_target(&mut loaded.db, &mut loaded.tracker, t);
+                let (outcome, deps) = loaded.db.session.run_target_recorded(t);
                 if let Some(store) = &store {
                     loaded.disk.misses += 1;
                     // Only verified outcomes persist: failures are always
                     // re-proved, so their diagnostics are always fresh.
                     if outcome.verified() {
-                        store.insert(&stable_record(&loaded.db, t, &outcome, reads));
+                        store.insert(&loaded.db.session.cache_record(t, &outcome, &deps));
                         loaded.disk.writes += 1;
                     }
+                }
+                // *Transient* outcomes (a panic, or a timeout under an armed
+                // deadline) describe this run's environment, not the
+                // program: they are answered but not recorded, so the target
+                // stays dirty and is re-proved on the next request instead
+                // of replaying a stale failure.
+                let transient = match outcome.diagnostic() {
+                    Some(VerifyDiagnostic::Panic { .. }) => true,
+                    Some(VerifyDiagnostic::Timeout { .. }) => deadline_armed,
+                    _ => false,
+                };
+                if !transient {
+                    loaded.tracker.record(&t.name, deps, outcome.clone());
                 }
                 reverified.push(t.name.clone());
                 cases.push((outcome, false));
@@ -458,16 +480,14 @@ impl ServerCore {
 
         loaded.db.side_ctx.add_spec(spec.clone());
 
-        let arena = loaded.db.session.verifier().engine.solver.arena().clone();
         let mut dirtied: BTreeSet<String> = BTreeSet::new();
         let mut changed = false;
 
         let pred_names: Vec<Symbol> = loaded.db.side_ctx.prog.preds.keys().copied().collect();
         for name in pred_names {
-            let new_fp = fingerprint_pred(&arena, &loaded.db.side_ctx.prog.preds[&name]);
-            let old_fp = fingerprint_key(
+            let new_fp = stable_pred(&loaded.db.side_ctx.prog.preds[&name]);
+            let old_fp = stable_fingerprint_key(
                 &loaded.db.session.verifier().engine.prog,
-                &arena,
                 DepKind::Pred,
                 name,
             );
@@ -483,10 +503,9 @@ impl ServerCore {
             }
         }
 
-        let new_fp = fingerprint_spec(&arena, &spec);
-        let old_fp = fingerprint_key(
+        let new_fp = stable_spec(&spec);
+        let old_fp = stable_fingerprint_key(
             &loaded.db.session.verifier().engine.prog,
-            &arena,
             DepKind::Spec,
             Symbol::new(func),
         );
@@ -651,12 +670,14 @@ impl ServerCore {
         body
     }
 
-    /// Writes a stable record for every clean, verified target of every
-    /// resident session to the disk store. Eager write-back after each
-    /// `verify` already covers freshly proved targets; this shutdown sweep
-    /// additionally re-writes hydrated ones, refreshing their mtimes for
-    /// `cache gc`'s least-recently-used ordering. Public so the binary's
-    /// SIGTERM/SIGINT handler can flush exactly like a `shutdown` request.
+    /// Writes a record for every clean, verified target of every resident
+    /// session to the disk store, built from the tracker's read-set — the
+    /// same stable fingerprints the record would have been written with.
+    /// Eager write-back after each `verify` already covers freshly proved
+    /// targets; this shutdown sweep additionally re-writes hydrated ones,
+    /// refreshing their mtimes for `cache gc`'s least-recently-used
+    /// ordering. Public so the binary's SIGTERM/SIGINT handler can flush
+    /// exactly like a `shutdown` request.
     pub fn flush_all(&mut self) {
         let Some(store) = &self.store else { return };
         for loaded in self.sessions.values() {
@@ -664,158 +685,38 @@ impl ServerCore {
                 if loaded.tracker.is_dirty(&t.name) {
                     continue;
                 }
-                let Some(outcome) = loaded.tracker.cached(&t.name) else {
+                let (Some(outcome), Some(deps)) = (
+                    loaded.tracker.cached(&t.name),
+                    loaded.tracker.deps_of(&t.name),
+                ) else {
                     continue;
                 };
-                if !outcome.verified() {
-                    continue;
+                if outcome.verified() {
+                    store.insert(&loaded.db.session.cache_record(t, outcome, deps));
                 }
-                let Some(deps) = loaded.tracker.deps_of(&t.name) else {
-                    continue;
-                };
-                let reads: Vec<(DepKind, Symbol)> = deps
-                    .iter()
-                    .map(|((kind, name), _)| (*kind, Symbol::new(name)))
-                    .collect();
-                store.insert(&stable_record(&loaded.db, t, outcome, reads));
             }
         }
     }
 }
 
-/// Runs one target with dependency recording and records the result.
-/// Returns the outcome plus the raw read-set, so a caller holding a disk
-/// store can persist a stable record without re-running anything.
-///
-/// The proof itself runs under `catch_unwind`: a panicking target (an
-/// engine bug, or an injected fault in the chaos tests) becomes a
-/// structured unverified outcome of category `panic`, and — crucially for
-/// the resident daemon — the dependency-recording window is closed either
-/// way, so the session's warm state stays consistent for the next request.
-///
-/// *Transient* outcomes (a panic, or a timeout under a wall-clock deadline)
-/// are returned but **not** recorded in the tracker: they describe this
-/// run's environment, not the program, so the target stays dirty and is
-/// re-proved on the next request instead of replaying a stale failure.
-fn run_target(
-    db: &mut ProgramDb,
-    tracker: &mut DepTracker,
-    target: &Target,
-) -> (CaseOutcome, Vec<(DepKind, Symbol)>) {
-    let verifier = db.session.verifier();
-    let deadline_active = verifier.engine.opts.target_timeout.is_some();
-    verifier.engine.prog.begin_dep_recording();
-    let start = Instant::now();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match target.kind {
-        TargetKind::Function => db.session.verify_fn(&target.name),
-        TargetKind::Lemma => db.session.verify_lemma(&target.name),
-    }));
-    let report = match attempt {
-        Ok(report) => report,
-        Err(payload) => CaseReport {
-            name: target.name.clone(),
-            verified: false,
-            elapsed: start.elapsed(),
-            diagnostic: Some(VerifyDiagnostic::from_panic(payload.as_ref())),
-        },
-    };
-    let raw = verifier.engine.prog.end_dep_recording();
-    let arena = verifier.engine.solver.arena();
-    let reads: Vec<(DepKey, u64)> = raw
-        .iter()
-        .map(|&(kind, name)| {
-            let fp = fingerprint_key(&verifier.engine.prog, arena, kind, name);
-            ((kind, name.to_string()), fp)
-        })
-        .collect();
-    let outcome = CaseOutcome {
-        kind: target.kind,
-        report,
-    };
-    let transient = match &outcome.report.diagnostic {
-        Some(VerifyDiagnostic::Panic { .. }) => true,
-        Some(VerifyDiagnostic::Timeout { .. }) => deadline_active,
-        _ => false,
-    };
-    if !transient {
-        tracker.record(&target.name, reads, outcome.clone());
-    }
-    (outcome, raw)
-}
-
-/// Builds the persistent, cross-process record of a freshly verified
-/// target: every fingerprint is recomputed with the *stable* (name-based,
-/// arena-independent) scheme — the session fingerprints in the tracker key
-/// off interned `TermId`s and mean nothing outside this process.
-fn stable_record(
-    db: &ProgramDb,
-    target: &Target,
-    outcome: &CaseOutcome,
-    reads: Vec<(DepKind, Symbol)>,
-) -> CacheRecord {
-    let prog = &db.session.verifier().engine.prog;
-    let mut deps: Vec<DepEntry> = reads
-        .into_iter()
-        .map(|(kind, name)| DepEntry {
-            kind: kind.label().to_string(),
-            name: name.to_string(),
-            fingerprint: stable_fingerprint_key(prog, kind, name),
-        })
-        .collect();
-    deps.sort_by(|a, b| (&a.kind, &a.name).cmp(&(&b.kind, &b.name)));
-    CacheRecord {
-        namespace: db.session.cache_namespace(),
-        kind_label: target.kind.label().to_string(),
-        name: target.name.clone(),
-        target_fp: stable_target_fingerprint(prog, &target.name),
-        deps,
-        elapsed_nanos: outcome.report.elapsed.as_nanos() as u64,
-    }
-}
-
 /// Seeds a fresh dependency tracker from the disk store: every target with
-/// a record whose target *and* dependency fingerprints all match the loaded
-/// program is marked clean with a synthetic verified outcome, and its
-/// read-set is re-fingerprinted with the session (arena-based) scheme so
-/// later `update_spec`/`update_fn` requests dirty the cone exactly as if
-/// this process had proved it. Returns the hydrated target names.
-fn hydrate(store: &dyn CacheStore, db: &ProgramDb, tracker: &mut DepTracker) -> Vec<String> {
-    let namespace = db.session.cache_namespace();
-    let verifier = db.session.verifier();
-    let prog = &verifier.engine.prog;
-    let arena = verifier.engine.solver.arena();
+/// a matching record (see [`HybridSession::lookup_record`]) is marked clean
+/// with the verified outcome the record stands for, and the record's
+/// read-set becomes the tracker's, so later `update_spec`/`update_fn`
+/// requests dirty the cone exactly as if this process had proved it.
+/// Returns the hydrated target names.
+fn hydrate(
+    store: &dyn CacheStore,
+    session: &HybridSession,
+    tracker: &mut DepTracker,
+) -> Vec<String> {
     let mut hydrated = Vec::new();
-    for t in db.session.targets() {
-        let tkey = proof_cache::target_key(namespace, t.kind.label(), &t.name);
-        let hit = store.lookup(tkey).into_iter().find(|rec| {
-            rec.namespace == namespace
-                && rec.kind_label == t.kind.label()
-                && rec.name == t.name
-                && record_matches(rec, prog)
-        });
-        let Some(rec) = hit else { continue };
-        let reads: Vec<(DepKey, u64)> = rec
-            .deps
-            .iter()
-            .filter_map(|d| {
-                let kind = DepKind::from_label(&d.kind)?;
-                let name = Symbol::new(&d.name);
-                let fp = fingerprint_key(prog, arena, kind, name);
-                Some(((kind, d.name.clone()), fp))
-            })
-            .collect();
-        let outcome = CaseOutcome {
-            kind: t.kind,
-            report: CaseReport {
-                name: t.name.clone(),
-                verified: true,
-                // The cold proving time from the record, so reports keep a
-                // meaningful duration column.
-                elapsed: Duration::from_nanos(rec.elapsed_nanos),
-                diagnostic: None,
-            },
+    for t in session.targets() {
+        let Some(rec) = session.lookup_record(store, t) else {
+            continue;
         };
-        tracker.record(&t.name, reads, outcome);
+        let outcome = CaseOutcome::from_record(t, &rec);
+        tracker.record(&t.name, rec.deps, outcome);
         hydrated.push(t.name.clone());
     }
     hydrated
@@ -1049,6 +950,7 @@ pub fn serve_unix(path: &str, core: &Arc<Mutex<ServerCore>>) -> std::io::Result<
 mod tests {
     use super::*;
     use crate::json::parse;
+    use proof_cache::CacheRecord;
 
     fn ok(resp: &str) -> Value {
         let v = parse(resp).expect("response is valid JSON");
@@ -1356,5 +1258,91 @@ mod tests {
             r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
         ));
         assert_eq!(names(&v, "hydrated"), vec!["base", "inc", "inc2"]);
+    }
+
+    /// The records `store` holds for `session`'s targets, in target order.
+    fn stored_records(store: &dyn CacheStore, session: &HybridSession) -> Vec<CacheRecord> {
+        session
+            .targets()
+            .iter()
+            .flat_map(|t| {
+                store.lookup(proof_cache::target_key(
+                    session.cache_namespace(),
+                    t.kind.label(),
+                    &t.name,
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tracker_fingerprints_equal_the_written_records() {
+        let store = Arc::new(proof_cache::MemStore::new());
+        let mut core = ServerCore::with_store(store.clone());
+        ok(&core.handle_line(
+            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
+        ));
+        ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
+
+        let loaded = core.loaded().unwrap();
+        let records = stored_records(store.as_ref(), &loaded.db.session);
+        assert_eq!(records.len(), 3);
+        for rec in &records {
+            let deps = loaded.tracker.deps_of(&rec.name).unwrap();
+            assert!(!deps.is_empty(), "{} read nothing", rec.name);
+            for d in deps {
+                let on_disk = rec
+                    .deps
+                    .iter()
+                    .find(|e| e.kind == d.kind && e.name == d.name)
+                    .unwrap_or_else(|| {
+                        panic!("{}: {} {} not in the record", rec.name, d.kind, d.name)
+                    });
+                assert_eq!(
+                    d.fingerprint, on_disk.fingerprint,
+                    "{}: {} {}",
+                    rec.name, d.kind, d.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_and_daemon_write_identical_records() {
+        let w = workload("chain").unwrap();
+        let batch_store = Arc::new(proof_cache::MemStore::new());
+        let batch = HybridSession::builder()
+            .name(w.session_name)
+            .program((w.program)())
+            .mode(w.default_mode)
+            .specs(w.specs)
+            .verify_fns(w.functions.iter().copied())
+            .workers(1)
+            .branch_parallelism(1)
+            .cache(batch_store.clone())
+            .build()
+            .unwrap();
+        assert!(batch.verify_all().all_verified());
+
+        let daemon_store = Arc::new(proof_cache::MemStore::new());
+        let mut core = ServerCore::with_store(daemon_store.clone());
+        ok(&core.handle_line(
+            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
+        ));
+        ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
+
+        // Proving times differ run to run; everything else must agree.
+        let texts = |store: &dyn CacheStore| -> Vec<String> {
+            stored_records(store, &batch)
+                .into_iter()
+                .map(|mut rec| {
+                    rec.elapsed_nanos = 0;
+                    rec.to_text()
+                })
+                .collect()
+        };
+        let from_batch = texts(batch_store.as_ref());
+        assert_eq!(from_batch.len(), 3);
+        assert_eq!(from_batch, texts(daemon_store.as_ref()));
     }
 }
