@@ -165,13 +165,6 @@ pub struct EngineOptions {
     /// (`None` probes `GILLIAN_SMT`, then `PATH` for `z3`/`cvc5`). Lets
     /// tests and benches inject stub solvers deterministically.
     pub smt_command: Option<Vec<String>>,
-    /// One external SMT process per concurrently-solving branch worker
-    /// (the default: workers never serialise on the hub mutex; idle
-    /// processes are pooled, checked out by longest shared scope prefix,
-    /// and share the declaration/naming tables). `false` restores the
-    /// single shared process behind a mutex — also forced by
-    /// `GILLIAN_SMT_SINGLE=1`.
-    pub smt_per_worker: bool,
     /// Number of worker threads exploring sibling branches of ONE proof
     /// obligation (`1` = serial, the default). Branches are tagged with
     /// their fork path and results are reordered before returning, so
@@ -211,7 +204,6 @@ impl Default for EngineOptions {
             backend: BackendKind::default(),
             smt_timeout_ms: smt.timeout.as_millis() as u64,
             smt_command: None,
-            smt_per_worker: smt.per_worker,
             branch_parallelism: 1,
             static_prune: true,
             target_timeout: None,
@@ -558,7 +550,6 @@ impl<S: StateModel> Engine<S> {
         gillian_solver::SmtOptions {
             command: opts.smt_command.clone(),
             timeout: Duration::from_millis(opts.smt_timeout_ms),
-            per_worker: opts.smt_per_worker,
         }
     }
 

@@ -8,8 +8,8 @@
 //! it into a fresh **kernel-only** solver and asks `check_unsat`. The kernel
 //! is sound for refutation — it only answers "unsat" when the facts really
 //! are contradictory — so every GL041 is a true positive. No SMT process is
-//! ever spawned: the solver hub is built with [`BackendKind::Incremental`],
-//! which wires the in-process eager kernel backend.
+//! ever spawned: the solver hub is built with [`BackendKind::OneShot`], the
+//! reference backend that runs the in-process refutation kernel alone.
 
 use crate::{ItemKind, LintDiagnostic, LintOptions, LintSpan, Severity};
 use gillian_engine::asrt::{Asrt, Spec};
@@ -89,9 +89,9 @@ pub(crate) fn lint_vacuity<'a>(
     let start = Instant::now();
     let mut diags = Vec::new();
     let mut overruns = Vec::new();
-    // Kernel-only hub: `Incremental` never builds the SMT bridge, so no
+    // Kernel-only hub: `OneShot` never builds the SMT bridge, so no
     // external process can be spawned no matter what the environment says.
-    let mut solver = Solver::with_backend(BackendKind::Incremental);
+    let mut solver = Solver::with_backend(BackendKind::OneShot);
     // Vacuity only needs refutation of a conjunction of ground-ish facts;
     // a tight case budget time-boxes pathological disjunctions.
     solver.case_budget = 128;

@@ -7,16 +7,13 @@
 //! and queries in place — instead of shipping the whole path condition on
 //! every call.
 //!
-//! Four in-repo backends ship today:
+//! Three in-repo backends ship today:
 //!
 //! * [`OneShotBackend`] — the pre-redesign behaviour: every query re-resolves
-//!   and re-simplifies the whole assertion stack from scratch. Kept as the
-//!   ablation baseline.
-//! * [`EagerBackend`] — incremental *assertion processing*: facts are
-//!   simplified (memoised in the [`TermArena`]) and flattened into literals
-//!   once, at assert time; a definitely-false assertion short-circuits every
-//!   later query in the scope — but every query still re-runs the
-//!   refutation kernel over the whole literal set.
+//!   and re-simplifies the whole assertion stack from scratch and re-runs
+//!   the batch [`kernel::refute`]. Kept as the reference oracle of the
+//!   differential tests and the ablation benches, and used by lint's
+//!   vacuity pass (it never builds an SMT bridge).
 //! * [`IncrementalStateBackend`] — incremental *theory state*: a persistent
 //!   congruence/linear closure with an undo trail does each literal's theory
 //!   work once; queries consult the maintained closure and only re-split
@@ -197,9 +194,6 @@ impl AtomicSolverStats {
 pub enum BackendKind {
     /// [`OneShotBackend`]: re-simplify everything on every query.
     OneShot,
-    /// [`EagerBackend`]: incremental assertion processing, no cache, but the
-    /// kernel still re-runs over the whole literal set per query.
-    Incremental,
     /// [`IncrementalStateBackend`]: persistent congruence/linear state with
     /// an undo trail — queries consult the maintained closure and only
     /// re-split disjunctive literals.
@@ -216,18 +210,16 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every in-repo backend, in ablation order.
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::OneShot,
-        BackendKind::Incremental,
         BackendKind::IncrementalState,
         BackendKind::CachedIncremental,
     ];
 
     /// Every selectable backend, including the external SMT-LIB bridge
     /// (which degrades to the kernel when no solver binary is probed).
-    pub const ALL_WITH_SMT: [BackendKind; 5] = [
+    pub const ALL_WITH_SMT: [BackendKind; 4] = [
         BackendKind::OneShot,
-        BackendKind::Incremental,
         BackendKind::IncrementalState,
         BackendKind::CachedIncremental,
         BackendKind::SmtLib,
@@ -237,7 +229,6 @@ impl BackendKind {
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::OneShot => "one-shot",
-            BackendKind::Incremental => "incremental",
             BackendKind::IncrementalState => "incremental-state",
             BackendKind::CachedIncremental => "cached-incremental",
             BackendKind::SmtLib => "smtlib",
@@ -353,11 +344,11 @@ pub fn entails_by_decomposition<B: SolverBackend + ?Sized>(
 // One-shot baseline
 // ---------------------------------------------------------------------------
 
-/// The ablation baseline: stores raw asserted ids and, on **every** query,
+/// The reference backend: stores raw asserted ids and, on **every** query,
 /// re-resolves and re-simplifies the whole stack from scratch (no arena
 /// memoisation, no cache) — the cost profile of the pre-redesign
 /// `&[Expr]`-slice API.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct OneShotBackend {
     stats: Arc<AtomicSolverStats>,
     case_budget: usize,
@@ -437,126 +428,7 @@ impl SolverBackend for OneShotBackend {
     }
 
     fn boxed_clone(&self) -> Box<dyn SolverBackend> {
-        Box::new(OneShotBackend {
-            stats: Arc::clone(&self.stats),
-            case_budget: self.case_budget,
-            asserted: self.asserted.clone(),
-            scopes: self.scopes.clone(),
-            last_complete: self.last_complete,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental (eager) backend
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-struct EagerScope {
-    lits: usize,
-    raw: usize,
-    definitely_false: bool,
-}
-
-/// The incremental backend: each asserted fact is simplified through the
-/// arena's memo table and flattened into literals exactly once; queries reuse
-/// the flattened literal stack. A fact that simplifies to `false` poisons the
-/// scope, short-circuiting every later query without touching the kernel.
-/// (`Clone` because the SMT-LIB backend embeds one as its kernel half.)
-#[derive(Clone, Debug)]
-pub struct EagerBackend {
-    stats: Arc<AtomicSolverStats>,
-    case_budget: usize,
-    /// Flattened, simplified literals (shared allocations from the arena).
-    lits: Vec<Arc<Expr>>,
-    /// Raw asserted ids, in assertion order.
-    raw: Vec<TermId>,
-    scopes: Vec<EagerScope>,
-    definitely_false: bool,
-    last_complete: bool,
-}
-
-impl EagerBackend {
-    pub(crate) fn new(stats: Arc<AtomicSolverStats>, case_budget: usize) -> Self {
-        EagerBackend {
-            stats,
-            case_budget,
-            lits: Vec::new(),
-            raw: Vec::new(),
-            scopes: Vec::new(),
-            definitely_false: false,
-            last_complete: true,
-        }
-    }
-}
-
-impl SolverBackend for EagerBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Incremental.label()
-    }
-
-    fn push(&mut self) {
-        self.scopes.push(EagerScope {
-            lits: self.lits.len(),
-            raw: self.raw.len(),
-            definitely_false: self.definitely_false,
-        });
-    }
-
-    fn pop(&mut self) {
-        if let Some(mark) = self.scopes.pop() {
-            self.lits.truncate(mark.lits);
-            self.raw.truncate(mark.raw);
-            self.definitely_false = mark.definitely_false;
-        }
-    }
-
-    fn assert(&mut self, arena: &TermArena, fact: TermId) {
-        self.raw.push(fact);
-        let simplified = arena.resolve(arena.simplify(fact));
-        kernel::flatten_shared(&simplified, &mut self.lits, &mut self.definitely_false);
-    }
-
-    fn check_unsat(&mut self, arena: &TermArena) -> bool {
-        let _ = arena;
-        if self.definitely_false {
-            self.last_complete = true;
-            return true;
-        }
-        let start = Instant::now();
-        let out = kernel::refute(&self.lits, self.case_budget);
-        self.last_complete = !out.budget_exhausted;
-        self.stats
-            .cases_explored
-            .fetch_add(out.leaf_cases, Ordering::Relaxed);
-        self.stats
-            .kernel_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out.refuted
-    }
-
-    fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool {
-        entails_by_decomposition(self, arena, goal)
-    }
-
-    fn last_query_complete(&self) -> bool {
-        self.last_complete
-    }
-
-    fn assertions(&self) -> &[TermId] {
-        &self.raw
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverBackend> {
-        Box::new(EagerBackend {
-            stats: Arc::clone(&self.stats),
-            case_budget: self.case_budget,
-            lits: self.lits.clone(),
-            raw: self.raw.clone(),
-            scopes: self.scopes.clone(),
-            definitely_false: self.definitely_false,
-            last_complete: self.last_complete,
-        })
+        Box::new(self.clone())
     }
 }
 
@@ -1118,10 +990,10 @@ mod inflight_tests {
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
                 let mut b = CachingBackend::new(
-                    Box::new(EagerBackend::new(Arc::clone(&stats), 512)),
+                    Box::new(IncrementalStateBackend::new(Arc::clone(&stats), 512)),
                     cache,
                     stats,
-                    "caching-eager",
+                    "caching-incremental-state",
                 );
                 for f in &facts {
                     let id = arena.intern(f);

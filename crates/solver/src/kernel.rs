@@ -7,9 +7,12 @@
 //! leaf case. It is *sound for refutation*: `true` means the literals are
 //! genuinely unsatisfiable; `false` means "could not refute".
 //!
-//! The kernel is a pure function of its inputs; how literals are accumulated
-//! (one-shot per query, incrementally at assert time, through a cache) is the
-//! backends' business ([`crate::backend`]).
+//! [`refute`] is a pure function of its inputs: the one-shot reference
+//! backend re-flattens the whole stack and calls it once per query.
+//! [`IncrementalState`] does the same theory work once per literal, at
+//! assert time, and only re-splits disjunctions per query. How queries are
+//! cached or sent on to an external solver is the backends' business
+//! ([`crate::backend`]).
 
 use crate::bags;
 use crate::congruence::{CcSnapshot, Congruence};
@@ -338,7 +341,7 @@ struct StateMark {
 ///   up to N × the per-solve Fourier–Motzkin round cap while a batch
 ///   backend gets one cap's worth per query. On derivation chains longer
 ///   than a single solve's reach this state can therefore refute/entail
-///   strictly **more** than one-shot/eager — never less, and never
+///   strictly **more** than one-shot — never less, and never
 ///   unsoundly (a flipped verdict is always in the proves-more direction).
 ///   Cross-backend agreement suites must stay within single-solve reach
 ///   (the differential test and scale bench do, by construction) or accept

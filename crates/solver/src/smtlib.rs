@@ -24,20 +24,19 @@
 //!
 //! ## Process driving
 //!
-//! By default the bridge runs **one process per concurrently-solving
-//! worker**: each solve checks a process out of an idle pool (preferring the
-//! one whose mirrored stack shares the longest scope prefix with the query)
-//! or spawns a fresh one seeded with the shared prelude, so branch workers
-//! never serialise on a hub mutex. The naming tables (constructor tags,
-//! opaque constants) stay shared — locked only while rendering — so names
-//! are stable across every process. `GILLIAN_SMT_SINGLE=1` (or
-//! `SmtOptions::per_worker = false`) restores the pre-pool fallback: one
-//! process per [`crate::Solver`] hub behind a mutex. Either way a process
-//! mirrors the querying context's assertion stack with `(push 1)`/`(pop 1)`:
-//! before each `(check-sat)` its state is re-synchronised to the context's
-//! branch scopes by popping to the common prefix and asserting the
-//! difference, so a linear exploration inside one branch is fully
-//! incremental.
+//! The bridge runs **one process per concurrently-solving worker**: each
+//! solve checks a process out of an idle pool (preferring the one whose
+//! mirrored stack shares the longest scope prefix with the query) or spawns
+//! a fresh one seeded with the shared prelude, so branch workers never
+//! serialise on a hub mutex. A serial exploration (branch width 1) checks
+//! out and returns the same process every time, so it runs on exactly one.
+//! The naming tables (constructor tags, opaque constants) stay shared —
+//! locked only while rendering — so names are stable across every process.
+//! A process mirrors the querying context's assertion stack with
+//! `(push 1)`/`(pop 1)`: before each `(check-sat)` its state is
+//! re-synchronised to the context's branch scopes by popping to the common
+//! prefix and asserting the difference, so a linear exploration inside one
+//! branch is fully incremental.
 //!
 //! Every solve is **time-boxed** (default 3 s; `GILLIAN_SMT_TIMEOUT_MS` or
 //! `EngineOptions::smt_timeout_ms`). On timeout or process death the child is
@@ -87,12 +86,6 @@ pub struct SmtOptions {
     pub command: Option<Vec<String>>,
     /// Wall-clock time box per solve.
     pub timeout: Duration,
-    /// One external process per concurrently-solving worker (the default:
-    /// solves never serialise on a hub mutex; idle processes are pooled and
-    /// checked out by longest shared scope prefix) versus the single shared
-    /// process behind a mutex (the pre-pool behaviour; forced by
-    /// `GILLIAN_SMT_SINGLE=1`).
-    pub per_worker: bool,
 }
 
 impl Default for SmtOptions {
@@ -104,20 +97,15 @@ impl Default for SmtOptions {
 impl SmtOptions {
     /// Probe-everything defaults: command from the environment/`PATH`,
     /// timeout from `GILLIAN_SMT_TIMEOUT_MS` (milliseconds) or
-    /// [`DEFAULT_TIMEOUT_MS`], per-worker processes unless
-    /// `GILLIAN_SMT_SINGLE` is set to `1`/`true`/`on`.
+    /// [`DEFAULT_TIMEOUT_MS`].
     pub fn from_env() -> Self {
         let timeout = std::env::var("GILLIAN_SMT_TIMEOUT_MS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(DEFAULT_TIMEOUT_MS);
-        let single = std::env::var("GILLIAN_SMT_SINGLE")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on"))
-            .unwrap_or(false);
         SmtOptions {
             command: None,
             timeout: Duration::from_millis(timeout),
-            per_worker: !single,
         }
     }
 }
@@ -720,27 +708,21 @@ impl SpawnHealth {
 /// The shared SMT bridge of one [`crate::Solver`] hub. Cheap to clone via
 /// `Arc`.
 ///
-/// In **per-worker** mode (the default) each solve checks a process out of
-/// an idle pool — or spawns a fresh one seeded with the shared prelude —
-/// so concurrent branch workers never serialise on a hub mutex; the naming
-/// tables (constructor tags, opaque constants) stay shared and are locked
-/// only for the microseconds of rendering, keeping names stable across
-/// every process. Idle processes are checked out by longest shared scope
-/// prefix, so a worker usually gets a process already synced to most of its
-/// branch. In **single** mode (`GILLIAN_SMT_SINGLE=1`, or
-/// `SmtOptions::per_worker = false`) the pre-pool behaviour is kept: one
-/// process behind a mutex held for the whole solve.
+/// Each solve checks a process out of an idle pool — or spawns a fresh one
+/// seeded with the shared prelude — so concurrent branch workers never
+/// serialise on a hub mutex; the naming tables (constructor tags, opaque
+/// constants) stay shared and are locked only for the microseconds of
+/// rendering, keeping names stable across every process. Idle processes are
+/// checked out by longest shared scope prefix, so a worker usually gets a
+/// process already synced to most of its branch.
 pub struct SmtShared {
     cmd: Option<SmtCommand>,
     timeout: Duration,
-    per_worker: bool,
     /// Naming tables shared by every process (stable across respawns).
     tables: Mutex<RenderTables>,
     health: Mutex<SpawnHealth>,
-    /// Idle processes (per-worker mode).
+    /// Idle processes, returned after each successful solve.
     idle: Mutex<Vec<SmtProcess>>,
-    /// The one shared process (single mode); the mutex serialises solves.
-    single: Mutex<Option<SmtProcess>>,
     /// Total processes spawned over the bridge's lifetime (telemetry/tests).
     spawned: std::sync::atomic::AtomicU64,
 }
@@ -794,28 +776,21 @@ impl SmtShared {
                 }
             });
         }
-        SmtShared {
-            cmd,
-            timeout: opts.timeout,
-            per_worker: opts.per_worker,
-            tables: Mutex::new(RenderTables::default()),
-            health: Mutex::new(SpawnHealth::default()),
-            idle: Mutex::new(Vec::new()),
-            single: Mutex::new(None),
-            spawned: std::sync::atomic::AtomicU64::new(0),
-        }
+        SmtShared::with_command(cmd, opts.timeout)
     }
 
     /// A bridge that never spawns anything (kernel-only fallback).
     pub fn unavailable() -> SmtShared {
+        SmtShared::with_command(None, Duration::from_millis(DEFAULT_TIMEOUT_MS))
+    }
+
+    fn with_command(cmd: Option<SmtCommand>, timeout: Duration) -> SmtShared {
         SmtShared {
-            cmd: None,
-            timeout: Duration::from_millis(DEFAULT_TIMEOUT_MS),
-            per_worker: true,
+            cmd,
+            timeout,
             tables: Mutex::new(RenderTables::default()),
             health: Mutex::new(SpawnHealth::default()),
             idle: Mutex::new(Vec::new()),
-            single: Mutex::new(None),
             spawned: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -843,49 +818,27 @@ impl SmtShared {
         self.spawned.load(Ordering::Relaxed)
     }
 
-    /// Is this bridge running one process per worker (vs the single shared
-    /// process fallback)?
-    pub fn per_worker(&self) -> bool {
-        self.per_worker
-    }
-
     /// Runs one `(check-sat)` for the given scoped assertion stack,
     /// re-syncing a process as needed. Never blocks longer than the time
     /// box (plus scheduling noise): on deadline the process is killed and
     /// the answer is [`SmtAnswer::Timeout`].
     ///
-    /// Per-worker mode checks a process out of the idle pool (or spawns
-    /// one), so concurrent callers each drive their own process; single
-    /// mode serialises callers on the shared process's mutex.
+    /// The solve checks a process out of the idle pool (or spawns one), so
+    /// concurrent callers each drive their own process.
     fn check(&self, arena: &TermArena, scopes: &[Vec<TermId>]) -> SmtAnswer {
         if self.cmd.is_none() {
             return SmtAnswer::Died;
         }
-        if self.per_worker {
-            let Some(mut proc) = self.checkout(scopes) else {
-                return SmtAnswer::Died;
-            };
-            let answer = self.drive(&mut proc, arena, scopes);
-            if !matches!(answer, SmtAnswer::Timeout | SmtAnswer::Died) {
-                self.idle.lock().unwrap().push(proc);
-            }
-            // A timed-out/dead process was already killed; dropping it here
-            // reaps it, and the next query spawns a replacement.
-            answer
-        } else {
-            let mut slot = self.single.lock().unwrap();
-            if slot.is_none() {
-                *slot = self.spawn_one();
-            }
-            let Some(proc) = slot.as_mut() else {
-                return SmtAnswer::Died;
-            };
-            let answer = self.drive(proc, arena, scopes);
-            if matches!(answer, SmtAnswer::Timeout | SmtAnswer::Died) {
-                *slot = None;
-            }
-            answer
+        let Some(mut proc) = self.checkout(scopes) else {
+            return SmtAnswer::Died;
+        };
+        let answer = self.drive(&mut proc, arena, scopes);
+        if !matches!(answer, SmtAnswer::Timeout | SmtAnswer::Died) {
+            self.idle.lock().unwrap().push(proc);
         }
+        // A timed-out/dead process was already killed; dropping it here
+        // reaps it, and the next query spawns a replacement.
+        answer
     }
 
     /// Takes an idle process — preferring the one whose mirrored stack
@@ -1015,6 +968,7 @@ impl SmtShared {
 /// fragment the case studies need, and always available), the external
 /// process for whatever the kernel cannot refute. See the module docs for
 /// the soundness argument and the timeout/abandonment contract.
+#[derive(Clone)]
 pub struct SmtBackend {
     kernel: IncrementalStateBackend,
     shared: Arc<SmtShared>,
@@ -1138,14 +1092,7 @@ impl SolverBackend for SmtBackend {
     }
 
     fn boxed_clone(&self) -> Box<dyn SolverBackend> {
-        Box::new(SmtBackend {
-            kernel: self.kernel.clone(),
-            shared: Arc::clone(&self.shared),
-            stats: Arc::clone(&self.stats),
-            raw: self.raw.clone(),
-            scopes: self.scopes.clone(),
-            last_complete: self.last_complete,
-        })
+        Box::new(self.clone())
     }
 }
 
@@ -1173,6 +1120,37 @@ mod tests {
             }
         }
         depth == 0
+    }
+
+    /// A stub "solver" answering `unsat` to every `(check-sat)`.
+    #[cfg(unix)]
+    const ALWAYS_UNSAT: &str =
+        "#!/bin/sh\nwhile read line; do\n  case \"$line\" in\n    *check-sat*) echo unsat ;;\n  esac\ndone\n";
+
+    /// A per-test scratch directory for stub scripts.
+    #[cfg(unix)]
+    fn stub_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("gillian-smt-{tag}-{}", std::process::id()))
+    }
+
+    /// Writes an executable stub script into `dir` and returns its path.
+    #[cfg(unix)]
+    fn write_stub(dir: &Path, name: &str, body: &str) -> PathBuf {
+        use std::os::unix::fs::PermissionsExt;
+        std::fs::create_dir_all(dir).unwrap();
+        let script = dir.join(name);
+        std::fs::write(&script, body).unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        script
+    }
+
+    /// A bridge driving `script` under the given time box.
+    #[cfg(unix)]
+    fn stub_bridge(script: &Path, timeout: Duration) -> SmtShared {
+        SmtShared::new(&SmtOptions {
+            command: Some(vec![script.to_string_lossy().into_owned()]),
+            timeout,
+        })
     }
 
     #[test]
@@ -1252,7 +1230,6 @@ mod tests {
         let shared = SmtShared::new(&SmtOptions {
             command: Some(vec![]),
             timeout: Duration::from_millis(100),
-            per_worker: true,
         });
         assert!(!shared.is_available());
     }
@@ -1310,22 +1287,9 @@ mod tests {
     #[test]
     #[cfg(unix)]
     fn stub_process_round_trip() {
-        use std::os::unix::fs::PermissionsExt;
-        let dir = std::env::temp_dir().join(format!("gillian-smt-stub-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let script = dir.join("always-unsat.sh");
-        std::fs::write(
-            &script,
-            "#!/bin/sh\nwhile read line; do\n  case \"$line\" in\n    *check-sat*) echo unsat ;;\n  esac\ndone\n",
-        )
-        .unwrap();
-        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
-
-        let shared = Arc::new(SmtShared::new(&SmtOptions {
-            command: Some(vec![script.to_string_lossy().into_owned()]),
-            timeout: Duration::from_secs(5),
-            per_worker: true,
-        }));
+        let dir = stub_dir("stub");
+        let script = write_stub(&dir, "always-unsat.sh", ALWAYS_UNSAT);
+        let shared = Arc::new(stub_bridge(&script, Duration::from_secs(5)));
         assert!(shared.is_available());
         let stats = Arc::new(AtomicSolverStats::default());
         let arena = TermArena::new();
@@ -1344,24 +1308,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Serial solves never need a second process: each one checks the
+    /// pooled process out and returns it, so a backend and its branch clone
+    /// used one after the other share a single process. This is why the
+    /// pool is the only mode — at branch width 1 it behaves like one
+    /// process per hub.
+    #[test]
+    #[cfg(unix)]
+    fn serial_solves_reuse_one_pooled_process() {
+        let dir = stub_dir("serial");
+        let script = write_stub(&dir, "always-unsat.sh", ALWAYS_UNSAT);
+        let shared = Arc::new(stub_bridge(&script, Duration::from_secs(5)));
+        let stats = Arc::new(AtomicSolverStats::default());
+        let arena = TermArena::new();
+        let mut b = SmtBackend::new(Arc::clone(&stats), 512, Arc::clone(&shared));
+        let mut g = VarGen::new();
+        let x = g.fresh_expr();
+        // Distinct satisfiable facts the kernel cannot refute: every query
+        // reaches the external process.
+        let solve = |b: &mut dyn SolverBackend, k: i128| {
+            b.push();
+            b.assert(&arena, arena.intern(&Expr::lt(Expr::Int(k), x.clone())));
+            assert!(b.check_unsat(&arena), "the stub answers unsat");
+            b.pop();
+        };
+        for k in 0..3 {
+            solve(&mut b, k);
+        }
+        let mut clone = b.boxed_clone();
+        for k in 3..6 {
+            solve(clone.as_mut(), k);
+        }
+        assert_eq!(stats.snapshot().smt_queries, 6);
+        assert_eq!(
+            shared.processes_spawned(),
+            1,
+            "serial solves must reuse the one pooled process"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A stub that never answers: the time box must fire, the verdict must
     /// fall back to the kernel's, and the query must be reported incomplete
     /// (so in-flight cache entries are abandoned, not published).
     #[test]
     #[cfg(unix)]
     fn hung_stub_times_out_and_reports_incomplete() {
-        use std::os::unix::fs::PermissionsExt;
-        let dir = std::env::temp_dir().join(format!("gillian-smt-hung-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let script = dir.join("hang.sh");
-        std::fs::write(&script, "#!/bin/sh\nwhile read line; do :; done\n").unwrap();
-        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
-
-        let shared = Arc::new(SmtShared::new(&SmtOptions {
-            command: Some(vec![script.to_string_lossy().into_owned()]),
-            timeout: Duration::from_millis(200),
-            per_worker: true,
-        }));
+        let dir = stub_dir("hung");
+        let script = write_stub(&dir, "hang.sh", "#!/bin/sh\nwhile read line; do :; done\n");
+        let shared = Arc::new(stub_bridge(&script, Duration::from_millis(200)));
         let stats = Arc::new(AtomicSolverStats::default());
         let arena = TermArena::new();
         let mut b = SmtBackend::new(Arc::clone(&stats), 512, shared);
@@ -1390,16 +1385,9 @@ mod tests {
     #[test]
     #[cfg(unix)]
     fn spawn_failures_back_off_and_recover() {
-        use std::os::unix::fs::PermissionsExt;
-        let dir = std::env::temp_dir().join(format!("gillian-smt-backoff-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = stub_dir("backoff");
         // The configured command does not exist yet: every spawn fails.
-        let script = dir.join("late-solver.sh");
-        let shared = SmtShared::new(&SmtOptions {
-            command: Some(vec![script.to_string_lossy().into_owned()]),
-            timeout: Duration::from_millis(200),
-            per_worker: true,
-        });
+        let shared = stub_bridge(&dir.join("late-solver.sh"), Duration::from_millis(200));
         assert!(shared.is_available(), "configured bridges start available");
         for _ in 0..SPAWN_FAILURE_THRESHOLD {
             assert!(shared.spawn_one().is_none());
@@ -1417,12 +1405,7 @@ mod tests {
         // The solver binary appears; once the rest window (initial backoff
         // plus ≤25% jitter) expires, a re-probe succeeds and the bridge is
         // back in service.
-        std::fs::write(
-            &script,
-            "#!/bin/sh\nwhile read line; do\n  case \"$line\" in\n    *check-sat*) echo unsat ;;\n  esac\ndone\n",
-        )
-        .unwrap();
-        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        write_stub(&dir, "late-solver.sh", ALWAYS_UNSAT);
         std::thread::sleep(SPAWN_BACKOFF_INITIAL + SPAWN_BACKOFF_INITIAL / 2);
         let proc = shared.spawn_one();
         assert!(proc.is_some(), "the re-probe succeeds");

@@ -24,8 +24,8 @@
 
 use crate::arena::{TermArena, TermId};
 use crate::backend::{
-    AtomicSolverStats, BackendKind, CachingBackend, EagerBackend, IncrementalStateBackend,
-    OneShotBackend, QueryCache, SolverBackend, SolverStats,
+    AtomicSolverStats, BackendKind, CachingBackend, IncrementalStateBackend, OneShotBackend,
+    QueryCache, SolverBackend, SolverStats,
 };
 use crate::expr::Expr;
 use crate::smtlib::{SmtBackend, SmtOptions, SmtShared};
@@ -53,8 +53,8 @@ pub struct Solver {
     stats: Arc<AtomicSolverStats>,
     cache: QueryCache,
     kind: BackendKind,
-    /// The external SMT bridge (one process shared by every context of the
-    /// hub). Only built for [`BackendKind::SmtLib`].
+    /// The external SMT bridge (the process pool shared by every context of
+    /// the hub). Only built for [`BackendKind::SmtLib`].
     smt: Option<Arc<SmtShared>>,
     /// Maximum number of leaf cases explored per query.
     pub case_budget: usize,
@@ -153,9 +153,6 @@ impl Solver {
                 Arc::clone(&self.stats),
                 self.case_budget,
             )),
-            BackendKind::Incremental => {
-                Box::new(EagerBackend::new(Arc::clone(&self.stats), self.case_budget))
-            }
             BackendKind::IncrementalState => Box::new(IncrementalStateBackend::new(
                 Arc::clone(&self.stats),
                 self.case_budget,
@@ -172,7 +169,7 @@ impl Solver {
             BackendKind::SmtLib => {
                 // Invariant from `with_backend_and_smt`: an SmtLib hub
                 // always carries the shared bridge — a silent per-context
-                // fallback here would split the one-process-per-hub state.
+                // fallback here would split the hub's shared process pool.
                 let shared = self
                     .smt
                     .clone()
@@ -382,11 +379,6 @@ impl SolverCtx {
         let r = !b.check_unsat(&self.arena);
         b.pop();
         r
-    }
-
-    /// A snapshot of the hub-wide statistics.
-    pub fn stats(&self) -> SolverStats {
-        self.stats.snapshot()
     }
 }
 

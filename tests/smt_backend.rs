@@ -270,7 +270,6 @@ fn per_worker_solves_use_multiple_processes() {
         SmtOptions {
             command: Some(vec![stub.to_string_lossy().into_owned()]),
             timeout: Duration::from_secs(30),
-            per_worker: true,
         },
     );
     let barrier = std::sync::Barrier::new(4);
@@ -302,19 +301,18 @@ fn per_worker_solves_use_multiple_processes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The single-process fallback stays selectable and fully functional: with
-/// `smt_per_worker: false` the session still verifies through the stub.
+/// The process pool verifies a whole session through the stub at branch
+/// parallelism 4: every branch worker's solve goes through a pooled process.
 #[test]
 #[cfg(unix)]
-fn single_process_fallback_still_works() {
+fn pooled_processes_verify_at_branch_parallelism_4() {
     let stub = write_stub(
-        "single-always-unsat.sh",
+        "pool-always-unsat.sh",
         "#!/bin/sh\nwhile read line; do\n  case \"$line\" in\n    *check-sat*) echo unsat ;;\n  esac\ndone\n",
     );
     let report = demo_session(EngineOptions {
         backend: BackendKind::SmtLib,
         smt_command: Some(vec![stub.to_string_lossy().into_owned()]),
-        smt_per_worker: false,
         branch_parallelism: 4,
         ..EngineOptions::default()
     })
@@ -336,7 +334,6 @@ fn real_solver_agrees_with_per_worker_processes_at_branch_parallelism_4() {
     let reference = demo_session(EngineOptions::default()).verify_all();
     let smt = demo_session(EngineOptions {
         backend: BackendKind::SmtLib,
-        smt_per_worker: true,
         branch_parallelism: 4,
         ..EngineOptions::default()
     })
@@ -372,7 +369,6 @@ fn hung_solver_releases_parked_solver_workers() {
         SmtOptions {
             command: Some(vec![stub.to_string_lossy().into_owned()]),
             timeout: Duration::from_millis(300),
-            per_worker: true,
         },
     );
     let start = Instant::now();
