@@ -12,10 +12,16 @@ fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_borrows");
     group.sample_size(10);
     group.bench_function("LinkedList(new)/auto_borrows_on", |b| {
-        b.iter(|| linked_list::verify_all(SpecMode::FunctionalCorrectness))
+        b.iter(|| {
+            let session = linked_list::WORKLOAD.builder(SpecMode::FunctionalCorrectness);
+            session.build().unwrap().verify_all()
+        })
     });
     group.bench_function("EvenInt/auto_borrows_on", |b| {
-        b.iter(|| even_int::verify_all(SpecMode::FunctionalCorrectness))
+        b.iter(|| {
+            let session = even_int::WORKLOAD.builder(SpecMode::FunctionalCorrectness);
+            session.build().unwrap().verify_all()
+        })
     });
     group.bench_function("LinkedList(new)/auto_borrows_off", |b| {
         b.iter(|| {

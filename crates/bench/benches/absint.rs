@@ -14,8 +14,8 @@
 //! `BENCH_QUICK=1` runs a reduced suite (first three Table 1 rows plus the
 //! full LinkedList row, still asserting the contract) so CI stays fast.
 
-use case_studies::table1::{table1_cases_with_prune, Table1Row};
-use case_studies::SpecMode;
+use case_studies::table1::{table1_cases, Table1Row};
+use case_studies::{linked_list, SpecMode, Workload};
 use driver::SolverStats;
 use std::time::{Duration, Instant};
 
@@ -33,28 +33,35 @@ struct PruneRun {
 /// The full LinkedList set as an extra Table 1 row: the Table 1 entry only
 /// verifies `new`, but the overflow checks live in `push_front`/`pop_front`.
 fn full_linked_list(prune: bool) -> driver::HybridSession {
-    case_studies::linked_list::session_for(
-        SpecMode::FunctionalCorrectness,
-        case_studies::linked_list::FUNCTIONS_FULL,
-    )
-    .with_static_prune(prune)
+    Workload {
+        functions: linked_list::FUNCTIONS_FULL,
+        ..linked_list::WORKLOAD
+    }
+    .builder(SpecMode::FunctionalCorrectness)
+    .static_prune(prune)
+    .build()
+    .unwrap()
 }
 
 fn run_suite(prune: bool, quick: bool) -> PruneRun {
-    let mut cases = table1_cases_with_prune(1, 1, prune);
+    let mut cases = table1_cases();
     if quick {
         cases.truncate(3);
     }
     let start = Instant::now();
     let mut rows = Vec::new();
     for case in cases {
-        let (name, property, aloc) = (case.name, case.property, case.aloc);
-        let session = case.session();
-        let eloc = session.verifier().types.program.executable_lines();
+        let session = case
+            .builder()
+            .workers(1)
+            .branch_parallelism(1)
+            .static_prune(prune)
+            .build()
+            .unwrap();
         let report = session.verify_all();
         let solver = report.solver;
         rows.push(RowRun {
-            row: Table1Row::from_report(name, property, eloc, aloc, report),
+            row: case.row(&session, report),
             solver,
         });
     }
@@ -64,13 +71,7 @@ fn run_suite(prune: bool, quick: bool) -> PruneRun {
         let report = session.verify_all();
         let solver = report.solver;
         rows.push(RowRun {
-            row: Table1Row::from_report(
-                "LinkedList (full)",
-                "FC",
-                eloc,
-                case_studies::linked_list::ALOC,
-                report,
-            ),
+            row: Table1Row::from_report("LinkedList (full)", "FC", eloc, linked_list::ALOC, report),
             solver,
         });
     }

@@ -13,7 +13,10 @@ fn bench_baseline(c: &mut Criterion) {
     let mut group = c.benchmark_group("baseline_comparison");
     group.sample_size(10);
     group.bench_function("EvenInt/automated", |b| {
-        b.iter(|| even_int::verify_all(SpecMode::FunctionalCorrectness))
+        b.iter(|| {
+            let session = even_int::WORKLOAD.builder(SpecMode::FunctionalCorrectness);
+            session.build().unwrap().verify_all()
+        })
     });
     group.bench_function("EvenInt/baseline(no automation)", |b| {
         b.iter(|| {

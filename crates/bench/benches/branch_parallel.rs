@@ -14,7 +14,7 @@
 //! `BENCH_QUICK=1` runs a reduced suite (first three rows, widths 1 and 4,
 //! still asserting the contract) so CI stays fast.
 
-use case_studies::table1::{table1_cases_with, Table1Row};
+use case_studies::table1::{table1_cases, Table1Row};
 use driver::EngineStats;
 use std::time::{Duration, Instant};
 
@@ -26,7 +26,7 @@ struct WidthRun {
 }
 
 fn run_width(width: usize, quick: bool) -> WidthRun {
-    let mut cases = table1_cases_with(1, width);
+    let mut cases = table1_cases();
     if quick {
         cases.truncate(3);
     }
@@ -34,16 +34,19 @@ fn run_width(width: usize, quick: bool) -> WidthRun {
     let mut stats = EngineStats::default();
     let mut rows = Vec::new();
     for case in cases {
-        let (name, property, aloc) = (case.name, case.property, case.aloc);
-        let session = case.session();
-        let eloc = session.verifier().types.program.executable_lines();
+        let session = case
+            .builder()
+            .workers(1)
+            .branch_parallelism(width)
+            .build()
+            .unwrap();
         let report = session.verify_all();
         let s = report.stats;
         stats.branches += s.branches;
         stats.branches_stolen += s.branches_stolen;
         stats.max_live_branches = stats.max_live_branches.max(s.max_live_branches);
         stats.commands_executed += s.commands_executed;
-        rows.push(Table1Row::from_report(name, property, eloc, aloc, report));
+        rows.push(case.row(&session, report));
     }
     WidthRun {
         width,

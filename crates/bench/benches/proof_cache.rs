@@ -34,7 +34,7 @@ const QUICK_ENV: &str = "GILLIAN_BENCH_CACHE_QUICK";
 fn child_main(quick: bool) -> ! {
     let dir = std::env::var(DIR_ENV).expect("child runs with a cache dir");
     let store: Arc<dyn CacheStore> = Arc::new(DirStore::new(&dir));
-    let mut cases = table1_cases(1);
+    let mut cases = table1_cases();
     if quick {
         cases.truncate(3);
     }
@@ -43,7 +43,8 @@ fn child_main(quick: bool) -> ! {
     let mut verify_seconds = 0.0f64;
     let mut all_verified = true;
     for case in cases {
-        let report = case.session().with_cache(Arc::clone(&store)).verify_all();
+        let session = case.builder().workers(1).cache(Arc::clone(&store));
+        let report = session.build().unwrap().verify_all();
         all_verified &= report.all_verified();
         targets += report.cases.len() as u64;
         hits += report.solver.disk_cache_hits;

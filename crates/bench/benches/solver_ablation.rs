@@ -35,7 +35,7 @@ struct BackendRun {
 }
 
 fn run_backend(kind: BackendKind, quick: bool) -> BackendRun {
-    let mut cases = table1_cases(1);
+    let mut cases = table1_cases();
     if quick {
         cases.truncate(2);
     }
@@ -43,9 +43,7 @@ fn run_backend(kind: BackendKind, quick: bool) -> BackendRun {
     let mut solver = SolverStats::default();
     let mut rows = Vec::new();
     for case in cases {
-        let (name, property, aloc) = (case.name, case.property, case.aloc);
-        let session = case.session().with_backend(kind);
-        let eloc = session.verifier().types.program.executable_lines();
+        let session = case.builder().workers(1).backend(kind).build().unwrap();
         let report = session.verify_all();
         let s = report.solver;
         solver.unsat_queries += s.unsat_queries;
@@ -57,7 +55,7 @@ fn run_backend(kind: BackendKind, quick: bool) -> BackendRun {
         solver.smt_failures += s.smt_failures;
         solver.kernel_nanos += s.kernel_nanos;
         solver.incremental_hits += s.incremental_hits;
-        rows.push(Table1Row::from_report(name, property, eloc, aloc, report));
+        rows.push(case.row(&session, report));
     }
     BackendRun {
         kind,

@@ -7,7 +7,7 @@
 //! driver.
 
 use case_studies::table1::table1_with_workers;
-use case_studies::{even_int, linked_list, linked_pair, mini_vec, SpecMode};
+use case_studies::{even_int, linked_list, linked_pair, mini_vec, SpecMode, Workload};
 use hybrid_bench::Criterion;
 
 fn bench_table1(c: &mut Criterion) {
@@ -16,35 +16,42 @@ fn bench_table1(c: &mut Criterion) {
     // Per-module entries pin workers(1) so the numbers stay comparable to
     // the paper's serial times whatever the host's core count; the
     // full_table group below is the explicit serial-vs-parallel comparison.
-    let serial = |mode: SpecMode, session: fn(SpecMode) -> case_studies::HybridSession| {
-        move || session(mode).with_workers(1).verify_all()
+    let serial = |mode: SpecMode, workload: &'static Workload| {
+        move || {
+            workload
+                .builder(mode)
+                .workers(1)
+                .build()
+                .unwrap()
+                .verify_all()
+        }
     };
     group.bench_function("EvenInt/FC", |b| {
-        b.iter(serial(SpecMode::FunctionalCorrectness, even_int::session))
+        b.iter(serial(SpecMode::FunctionalCorrectness, &even_int::WORKLOAD))
     });
     group.bench_function("LP/TS", |b| {
-        b.iter(serial(SpecMode::TypeSafety, linked_pair::session))
+        b.iter(serial(SpecMode::TypeSafety, &linked_pair::WORKLOAD))
     });
     group.bench_function("LP/FC", |b| {
         b.iter(serial(
             SpecMode::FunctionalCorrectness,
-            linked_pair::session,
+            &linked_pair::WORKLOAD,
         ))
     });
     // The LinkedList rows cover the quick function set (see EXPERIMENTS.md);
     // the full push_front/pop_front proofs are exercised by the `--ignored`
     // tests.
     group.bench_function("LinkedList/TS", |b| {
-        b.iter(serial(SpecMode::TypeSafety, linked_list::session))
+        b.iter(serial(SpecMode::TypeSafety, &linked_list::WORKLOAD))
     });
     group.bench_function("LinkedList/FC", |b| {
         b.iter(serial(
             SpecMode::FunctionalCorrectness,
-            linked_list::session,
+            &linked_list::WORKLOAD,
         ))
     });
     group.bench_function("MiniVec/FC", |b| {
-        b.iter(serial(SpecMode::FunctionalCorrectness, mini_vec::session))
+        b.iter(serial(SpecMode::FunctionalCorrectness, &mini_vec::WORKLOAD))
     });
     group.finish();
 

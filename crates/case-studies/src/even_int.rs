@@ -3,12 +3,11 @@
 //! the value to be even. `add` (unsafe) temporarily breaks the invariant;
 //! `add_two` restores it and is specified functionally.
 
-use driver::HybridSession;
+use crate::Workload;
 use gillian_engine::{Asrt, Pred};
 use gillian_rust::compile::GHOST_MUTREF_AUTO_RESOLVE;
 use gillian_rust::gilsonite::{lv, GilsoniteCtx, SpecMode};
 use gillian_rust::types::Types;
-use gillian_rust::verifier::{CaseReport, Verifier};
 use gillian_solver::Expr;
 use rust_ir::{AdtDef, AggregateKind, BinOp, BodyBuilder, IntTy, Operand, Place, Program, Ty};
 
@@ -16,6 +15,14 @@ use rust_ir::{AdtDef, AggregateKind, BinOp, BodyBuilder, IntTy, Operand, Place, 
 pub const FUNCTIONS: &[&str] = &["new_2", "new_3", "add_two"];
 /// Annotation lines (ownership predicate plus specifications).
 pub const ALOC: usize = 9;
+/// This case study's entry in the workload registry.
+pub const WORKLOAD: Workload = Workload {
+    name: "even_int",
+    session_name: "EvenInt",
+    program,
+    specs: gilsonite,
+    functions: FUNCTIONS,
+};
 
 fn even_ty() -> Ty {
     Ty::adt("EvenInt", vec![])
@@ -222,54 +229,26 @@ pub fn gilsonite(types: &Types, mode: SpecMode) -> GilsoniteCtx {
     g
 }
 
-/// Builds a [`HybridSession`] for this case study over the default function
-/// set, in the requested mode.
-pub fn session(mode: SpecMode) -> HybridSession {
-    session_for(mode, FUNCTIONS)
-}
-
-/// Builds a [`HybridSession`] over an explicit function list.
-pub fn session_for(mode: SpecMode, functions: &[&str]) -> HybridSession {
-    HybridSession::builder()
-        .name("EvenInt")
-        .program(program())
-        .mode(mode)
-        .specs(gilsonite)
-        .verify_fns(functions.iter().copied())
-        .build()
-        .expect("EvenInt case study compiles")
-}
-
-/// Builds a bare verifier for this case study (thin wrapper over
-/// [`session`] for callers that drive obligations one by one).
-pub fn verifier(mode: SpecMode) -> Verifier {
-    session(mode).into_verifier()
-}
-
-/// Verifies every function of the case study.
-pub fn verify_all(mode: SpecMode) -> Vec<CaseReport> {
-    session(mode).verify_all().into_case_reports()
-}
-
-/// Executable lines of code of the module.
-pub fn eloc() -> usize {
-    program().executable_lines()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn add_two_verifies_fc() {
-        verifier(SpecMode::FunctionalCorrectness)
+        WORKLOAD
+            .builder(SpecMode::FunctionalCorrectness)
+            .build()
+            .unwrap()
             .verify_fn("add_two")
             .expect_verified();
     }
 
     #[test]
     fn constructors_verify() {
-        let v = verifier(SpecMode::FunctionalCorrectness);
+        let v = WORKLOAD
+            .builder(SpecMode::FunctionalCorrectness)
+            .build()
+            .unwrap();
         v.verify_fn("new_2").expect_verified();
         v.verify_fn("new_3").expect_verified();
     }

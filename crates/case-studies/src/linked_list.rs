@@ -6,13 +6,12 @@
 //! ownership predicate is the `dll_seg`-based invariant of §3.3 and the
 //! specifications are the hybrid (Pearlite-equivalent) ones of Fig. 7.
 
-use driver::HybridSession;
+use crate::Workload;
 use gillian_engine::{Asrt, Pred};
 use gillian_rust::compile::GHOST_MUTREF_AUTO_RESOLVE;
 use gillian_rust::gilsonite::{lv, GilsoniteCtx, SpecMode};
 use gillian_rust::state::POINTS_TO;
 use gillian_rust::types::Types;
-use gillian_rust::verifier::{CaseReport, Verifier};
 use gillian_solver::{Expr, Symbol};
 use rust_ir::{AdtDef, AggregateKind, BodyBuilder, Operand, Place, Program, Ty};
 
@@ -26,6 +25,14 @@ pub const FUNCTIONS_FULL: &[&str] = &["new", "push_front", "pop_front"];
 /// Annotation lines (ownership predicate, `dll_seg`, specifications and the
 /// `mutref_auto_resolve` annotations), mirroring the aLoC column of Table 1.
 pub const ALOC: usize = 31;
+/// This case study's entry in the workload registry.
+pub const WORKLOAD: Workload = Workload {
+    name: "linked_list",
+    session_name: "LinkedList",
+    program,
+    specs: gilsonite,
+    functions: FUNCTIONS,
+};
 
 fn node_ty() -> Ty {
     Ty::adt("Node", vec![Ty::param("T")])
@@ -417,40 +424,6 @@ pub fn gilsonite(types: &Types, mode: SpecMode) -> GilsoniteCtx {
     g
 }
 
-/// Builds a [`HybridSession`] for this case study over the default function
-/// set, in the requested mode.
-pub fn session(mode: SpecMode) -> HybridSession {
-    session_for(mode, FUNCTIONS)
-}
-
-/// Builds a [`HybridSession`] over an explicit function list.
-pub fn session_for(mode: SpecMode, functions: &[&str]) -> HybridSession {
-    HybridSession::builder()
-        .name("LinkedList")
-        .program(program())
-        .mode(mode)
-        .specs(gilsonite)
-        .verify_fns(functions.iter().copied())
-        .build()
-        .expect("LinkedList case study compiles")
-}
-
-/// Builds a bare verifier for this case study (thin wrapper over
-/// [`session`] for callers that drive obligations one by one).
-pub fn verifier(mode: SpecMode) -> Verifier {
-    session(mode).into_verifier()
-}
-
-/// Verifies every function of the case study.
-pub fn verify_all(mode: SpecMode) -> Vec<CaseReport> {
-    session(mode).verify_all().into_case_reports()
-}
-
-/// Executable lines of code of the module (eLoC column).
-pub fn eloc() -> usize {
-    program().executable_lines()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,28 +439,40 @@ mod tests {
 
     #[test]
     fn new_verifies_fc() {
-        verifier(SpecMode::FunctionalCorrectness)
+        WORKLOAD
+            .builder(SpecMode::FunctionalCorrectness)
+            .build()
+            .unwrap()
             .verify_fn("new")
             .expect_verified();
     }
 
     #[test]
     fn push_front_verifies_fc() {
-        verifier(SpecMode::FunctionalCorrectness)
+        WORKLOAD
+            .builder(SpecMode::FunctionalCorrectness)
+            .build()
+            .unwrap()
             .verify_fn("push_front")
             .expect_verified();
     }
 
     #[test]
     fn pop_front_verifies_fc() {
-        verifier(SpecMode::FunctionalCorrectness)
+        WORKLOAD
+            .builder(SpecMode::FunctionalCorrectness)
+            .build()
+            .unwrap()
             .verify_fn("pop_front")
             .expect_verified();
     }
 
     #[test]
     fn push_front_verifies_ts() {
-        verifier(SpecMode::TypeSafety)
+        WORKLOAD
+            .builder(SpecMode::TypeSafety)
+            .build()
+            .unwrap()
             .verify_fn("push_front")
             .expect_verified();
     }

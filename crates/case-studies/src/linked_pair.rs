@@ -2,13 +2,12 @@
 //! heap cells through raw pointers — the smallest example that requires
 //! separation-logic reasoning about raw pointers.
 
-use driver::HybridSession;
+use crate::Workload;
 use gillian_engine::{Asrt, Pred};
 use gillian_rust::compile::GHOST_MUTREF_AUTO_RESOLVE;
 use gillian_rust::gilsonite::{lv, GilsoniteCtx, SpecMode};
 use gillian_rust::state::POINTS_TO;
 use gillian_rust::types::Types;
-use gillian_rust::verifier::{CaseReport, Verifier};
 use gillian_solver::{Expr, Symbol};
 use rust_ir::{AdtDef, AggregateKind, BodyBuilder, Operand, Place, Program, Ty};
 
@@ -16,6 +15,14 @@ use rust_ir::{AdtDef, AggregateKind, BodyBuilder, Operand, Place, Program, Ty};
 pub const FUNCTIONS: &[&str] = &["new", "set_both"];
 /// Annotation lines.
 pub const ALOC: usize = 7;
+/// This case study's entry in the workload registry.
+pub const WORKLOAD: Workload = Workload {
+    name: "linked_pair",
+    session_name: "LP",
+    program,
+    specs: gilsonite,
+    functions: FUNCTIONS,
+};
 
 fn lp_ty() -> Ty {
     Ty::adt("LinkedPair", vec![])
@@ -150,40 +157,6 @@ pub fn gilsonite(types: &Types, mode: SpecMode) -> GilsoniteCtx {
     g
 }
 
-/// Builds a [`HybridSession`] for this case study over the default function
-/// set, in the requested mode.
-pub fn session(mode: SpecMode) -> HybridSession {
-    session_for(mode, FUNCTIONS)
-}
-
-/// Builds a [`HybridSession`] over an explicit function list.
-pub fn session_for(mode: SpecMode, functions: &[&str]) -> HybridSession {
-    HybridSession::builder()
-        .name("LinkedPair")
-        .program(program())
-        .mode(mode)
-        .specs(gilsonite)
-        .verify_fns(functions.iter().copied())
-        .build()
-        .expect("LinkedPair case study compiles")
-}
-
-/// Builds a bare verifier for this case study (thin wrapper over
-/// [`session`] for callers that drive obligations one by one).
-pub fn verifier(mode: SpecMode) -> Verifier {
-    session(mode).into_verifier()
-}
-
-/// Verifies every function of the case study.
-pub fn verify_all(mode: SpecMode) -> Vec<CaseReport> {
-    session(mode).verify_all().into_case_reports()
-}
-
-/// Executable lines of code of the module.
-pub fn eloc() -> usize {
-    program().executable_lines()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,8 +173,11 @@ mod tests {
     #[test]
     fn new_and_set_both_verify_fc_under_every_backend() {
         for kind in BackendKind::ALL {
-            let report = session(SpecMode::FunctionalCorrectness)
-                .with_backend(kind)
+            let report = WORKLOAD
+                .builder(SpecMode::FunctionalCorrectness)
+                .backend(kind)
+                .build()
+                .unwrap()
                 .verify_all();
             assert!(
                 report.all_verified(),
@@ -220,7 +196,10 @@ mod tests {
 
     #[test]
     fn set_both_verifies_ts() {
-        verifier(SpecMode::TypeSafety)
+        WORKLOAD
+            .builder(SpecMode::TypeSafety)
+            .build()
+            .unwrap()
             .verify_fn("set_both")
             .expect_verified();
     }

@@ -4,13 +4,12 @@
 //! an element is the element itself); the generic structure of the proof is
 //! otherwise identical to the paper's.
 
-use driver::HybridSession;
+use crate::Workload;
 use gillian_engine::{Asrt, Pred};
 use gillian_rust::compile::GHOST_MUTREF_AUTO_RESOLVE;
 use gillian_rust::gilsonite::{lv, GilsoniteCtx, SpecMode};
 use gillian_rust::state::{POINTS_TO_SLICE, UNINIT_SLICE};
 use gillian_rust::types::{ptr_offset, Types};
-use gillian_rust::verifier::{CaseReport, Verifier};
 use gillian_solver::{Expr, Symbol};
 use rust_ir::{
     AdtDef, AggregateKind, BinOp, BodyBuilder, IntTy, Operand, Place, PlaceElem, Program, Ty,
@@ -23,6 +22,14 @@ pub const FUNCTIONS: &[&str] = &["new", "with_capacity"];
 pub const FUNCTIONS_FULL: &[&str] = &["new", "with_capacity", "push", "pop"];
 /// Annotation lines (ownership predicate plus specifications).
 pub const ALOC: usize = 14;
+/// This case study's entry in the workload registry.
+pub const WORKLOAD: Workload = Workload {
+    name: "mini_vec",
+    session_name: "MiniVec",
+    program,
+    specs: gilsonite,
+    functions: FUNCTIONS,
+};
 
 fn vec_ty() -> Ty {
     Ty::adt("MiniVec", vec![])
@@ -389,47 +396,16 @@ pub fn gilsonite(types: &Types, mode: SpecMode) -> GilsoniteCtx {
     g
 }
 
-/// Builds a [`HybridSession`] for this case study over the default function
-/// set, in the requested mode.
-pub fn session(mode: SpecMode) -> HybridSession {
-    session_for(mode, FUNCTIONS)
-}
-
-/// Builds a [`HybridSession`] over an explicit function list.
-pub fn session_for(mode: SpecMode, functions: &[&str]) -> HybridSession {
-    HybridSession::builder()
-        .name("MiniVec")
-        .program(program())
-        .mode(mode)
-        .specs(gilsonite)
-        .verify_fns(functions.iter().copied())
-        .build()
-        .expect("MiniVec case study compiles")
-}
-
-/// Builds a bare verifier for this case study (thin wrapper over
-/// [`session`] for callers that drive obligations one by one).
-pub fn verifier(mode: SpecMode) -> Verifier {
-    session(mode).into_verifier()
-}
-
-/// Verifies every function of the case study.
-pub fn verify_all(mode: SpecMode) -> Vec<CaseReport> {
-    session(mode).verify_all().into_case_reports()
-}
-
-/// Executable lines of code of the module.
-pub fn eloc() -> usize {
-    program().executable_lines()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn constructors_verify() {
-        let v = verifier(SpecMode::FunctionalCorrectness);
+        let v = WORKLOAD
+            .builder(SpecMode::FunctionalCorrectness)
+            .build()
+            .unwrap();
         v.verify_fn("new").expect_verified();
         v.verify_fn("with_capacity").expect_verified();
     }
@@ -439,7 +415,10 @@ mod tests {
     /// tests record the outcome without failing the suite.
     #[test]
     fn push_and_pop_report_outcome() {
-        let v = verifier(SpecMode::FunctionalCorrectness);
+        let v = WORKLOAD
+            .builder(SpecMode::FunctionalCorrectness)
+            .build()
+            .unwrap();
         for f in ["push", "pop"] {
             let report = v.verify_fn(f);
             eprintln!(

@@ -7,8 +7,8 @@
 //! regenerated serially (`table1`) or across worker threads
 //! (`table1_with_workers`) with identical verdicts.
 
-use crate::{even_int, linked_list, linked_pair, mini_vec};
-use driver::{HybridSession, VerificationReport};
+use crate::{even_int, linked_list, linked_pair, mini_vec, Workload};
+use driver::{parallel_map, HybridSession, SessionBuilder, VerificationReport};
 use gillian_rust::gilsonite::SpecMode;
 use gillian_rust::verifier::CaseReport;
 use std::time::Duration;
@@ -54,93 +54,50 @@ impl Table1Row {
     }
 }
 
-/// One prepared Table 1 entry: the static columns plus a *lazy* session
-/// constructor. Construction (building the mini-MIR program, elaborating the
-/// specs, compiling to GIL) is a sizeable share of a row's cost, so it runs
-/// inside the worker thread, not up-front.
+/// One Table 1 entry: the static columns plus the workload and mode its
+/// session is built from. Building the session (the mini-MIR program, spec
+/// elaboration, compilation to GIL) is a sizeable share of a row's cost, so
+/// callers build it where it runs, e.g. inside a worker thread.
 pub struct Table1Case {
     pub name: &'static str,
     pub property: &'static str,
     pub aloc: usize,
-    build: Box<dyn FnOnce() -> HybridSession + Send>,
+    workload: &'static Workload,
+    mode: SpecMode,
 }
 
 impl Table1Case {
-    pub fn new(
-        name: &'static str,
-        property: &'static str,
-        aloc: usize,
-        build: impl FnOnce() -> HybridSession + Send + 'static,
-    ) -> Table1Case {
-        Table1Case {
-            name,
-            property,
-            aloc,
-            build: Box::new(build),
-        }
+    /// The row's session builder, every knob at its default; the caller
+    /// sets workers, branch parallelism, backend, cache and so on.
+    pub fn builder(&self) -> SessionBuilder {
+        self.workload.builder(self.mode)
     }
 
-    /// Builds the session (without running it).
-    pub fn session(self) -> HybridSession {
-        (self.build)()
-    }
-
-    /// Builds the session, runs it and projects the row.
-    pub fn run(self) -> Table1Row {
-        let (name, property, aloc) = (self.name, self.property, self.aloc);
-        let session = (self.build)();
+    /// Projects `report`, a batch of `session` (built from
+    /// [`Table1Case::builder`]), onto the row.
+    pub fn row(&self, session: &HybridSession, report: VerificationReport) -> Table1Row {
         let eloc = session.verifier().types.program.executable_lines();
-        let report = session.verify_all();
-        Table1Row::from_report(name, property, eloc, aloc, report)
+        Table1Row::from_report(self.name, self.property, eloc, self.aloc, report)
     }
 }
 
-/// The six Table 1 entries (EvenInt, LP ×2, LinkedList ×2, MiniVec), each
-/// session configured with the given worker count for its own batch.
-pub fn table1_cases(workers: usize) -> Vec<Table1Case> {
-    table1_cases_with(workers, 1)
-}
-
-/// Same entries with an explicit branch-parallelism width: `workers` spreads
-/// the obligations of each row, `branch_parallelism` spreads the branches of
-/// each obligation over the engine's work-stealing scheduler.
-pub fn table1_cases_with(workers: usize, branch_parallelism: usize) -> Vec<Table1Case> {
-    table1_cases_with_prune(workers, branch_parallelism, true)
-}
-
-/// Same entries with the static-pruning oracle toggled explicitly: the
-/// differential tests and the absint bench run the suite once pruned and
-/// once unpruned and require identical verdicts and diagnostics.
-pub fn table1_cases_with_prune(
-    workers: usize,
-    branch_parallelism: usize,
-    static_prune: bool,
-) -> Vec<Table1Case> {
+/// The six Table 1 entries (EvenInt, LP ×2, LinkedList ×2, MiniVec).
+pub fn table1_cases() -> Vec<Table1Case> {
     use SpecMode::{FunctionalCorrectness as FC, TypeSafety as TS};
-    let sess = move |s: HybridSession| {
-        s.with_workers(workers)
-            .with_branch_parallelism(branch_parallelism)
-            .with_static_prune(static_prune)
+    let case = |workload: &'static Workload, property, mode, aloc| Table1Case {
+        name: workload.session_name,
+        property,
+        aloc,
+        workload,
+        mode,
     };
     vec![
-        Table1Case::new("EvenInt", "TS/FC", even_int::ALOC, move || {
-            sess(even_int::session(FC))
-        }),
-        Table1Case::new("LP", "TS", linked_pair::ALOC, move || {
-            sess(linked_pair::session(TS))
-        }),
-        Table1Case::new("LP", "FC", linked_pair::ALOC, move || {
-            sess(linked_pair::session(FC))
-        }),
-        Table1Case::new("LinkedList", "TS", linked_list::ALOC, move || {
-            sess(linked_list::session(TS))
-        }),
-        Table1Case::new("LinkedList", "FC", linked_list::ALOC, move || {
-            sess(linked_list::session(FC))
-        }),
-        Table1Case::new("MiniVec", "FC", mini_vec::ALOC, move || {
-            sess(mini_vec::session(FC))
-        }),
+        case(&even_int::WORKLOAD, "TS/FC", FC, even_int::ALOC),
+        case(&linked_pair::WORKLOAD, "TS", TS, linked_pair::ALOC),
+        case(&linked_pair::WORKLOAD, "FC", FC, linked_pair::ALOC),
+        case(&linked_list::WORKLOAD, "TS", TS, linked_list::ALOC),
+        case(&linked_list::WORKLOAD, "FC", FC, linked_list::ALOC),
+        case(&mini_vec::WORKLOAD, "FC", FC, mini_vec::ALOC),
     ]
 }
 
@@ -155,35 +112,14 @@ pub fn table1() -> Vec<Table1Row> {
 /// the multi-core speedup of the batch driver comes from — the per-row
 /// obligations are few and small, the rows are independent.
 pub fn table1_with_workers(workers: usize) -> Vec<Table1Row> {
-    let cases = table1_cases(1);
-    if workers <= 1 {
-        return cases.into_iter().map(Table1Case::run).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let todo: Vec<Mutex<Option<Table1Case>>> =
-        cases.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let done: Vec<Mutex<Option<Table1Row>>> = todo.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(todo.len()) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= todo.len() {
-                    break;
-                }
-                let case = todo[idx]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each case runs once");
-                *done[idx].lock().unwrap() = Some(case.run());
-            });
-        }
-    });
-    done.into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every row is produced"))
-        .collect()
+    parallel_map(table1_cases(), workers, |case| {
+        let session = case
+            .builder()
+            .workers(1)
+            .build()
+            .expect("Table 1 case studies compile");
+        case.row(&session, session.verify_all())
+    })
 }
 
 /// Renders the table as text (used by the `table1_report` example).

@@ -306,13 +306,6 @@ impl Verifier {
     pub fn backend_kind(&self) -> BackendKind {
         self.engine.solver.backend_kind()
     }
-
-    /// Re-runs the verifier on another solver backend: fresh arena, cache
-    /// and statistics, same compiled program and specifications. Used by the
-    /// solver ablation harness.
-    pub fn set_backend(&mut self, kind: BackendKind) {
-        self.engine.set_backend(kind);
-    }
 }
 
 #[cfg(test)]

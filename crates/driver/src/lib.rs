@@ -999,24 +999,9 @@ impl HybridSession {
         self.workers
     }
 
-    /// Changes the worker count of an already-built session (avoids
-    /// recompiling the program just to re-run the batch at another width).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Branch-level worker threads per obligation.
     pub fn branch_parallelism(&self) -> usize {
         self.verifier.engine.opts.branch_parallelism
-    }
-
-    /// Changes the branch-level worker count of an already-built session
-    /// (the compiled program, arena and cache are reused — this is how the
-    /// branch-parallel bench re-runs the suite at several widths).
-    pub fn with_branch_parallelism(mut self, workers: usize) -> Self {
-        self.verifier.engine.opts.branch_parallelism = workers.max(1);
-        self
     }
 
     /// Whether the engine consults the static value analysis at branches.
@@ -1024,34 +1009,9 @@ impl HybridSession {
         self.verifier.engine.opts.static_prune
     }
 
-    /// Toggles static branch pruning on an already-built session (the
-    /// compiled program, invariant table and cache are reused — this is how
-    /// the differential tests and the absint bench compare pruned against
-    /// unpruned runs of the same suite).
-    pub fn with_static_prune(mut self, enabled: bool) -> Self {
-        self.verifier.engine.opts.static_prune = enabled;
-        self
-    }
-
     /// The solver backend answering this session's pure queries.
     pub fn backend(&self) -> BackendKind {
         self.verifier.backend_kind()
-    }
-
-    /// Swaps the solver backend of an already-built session (fresh arena,
-    /// cache and statistics; the compiled program and specifications are
-    /// reused). This is how the ablation bench re-runs the Table 1 suite
-    /// under each backend.
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.verifier.set_backend(kind);
-        self
-    }
-
-    /// Attaches (or replaces) the persistent proof-cache store of an
-    /// already-built session. See [`SessionBuilder::cache`].
-    pub fn with_cache(mut self, store: Arc<dyn CacheStore>) -> Self {
-        self.cache = Some(store);
-        self
     }
 
     /// The attached proof-cache store, if any.
@@ -1170,14 +1130,6 @@ impl HybridSession {
     /// Per-target wall-clock budget, when one was configured at build time.
     pub fn target_timeout(&self) -> Option<Duration> {
         self.verifier.engine.opts.target_timeout
-    }
-
-    /// Changes the per-target budget of an already-built session (see
-    /// [`SessionBuilder::target_timeout`]; the compiled program and caches
-    /// are reused).
-    pub fn with_target_timeout(mut self, budget: Option<Duration>) -> Self {
-        self.verifier.engine.opts.target_timeout = budget;
-        self
     }
 
     /// Runs one target with panic isolation: a panic inside proof search

@@ -553,14 +553,6 @@ impl<S: StateModel> Engine<S> {
         }
     }
 
-    /// Swaps the solver backend (fresh arena, cache and statistics). Used by
-    /// the ablation harness to re-run the same compiled program under
-    /// another backend without recompiling.
-    pub fn set_backend(&mut self, kind: BackendKind) {
-        self.opts.backend = kind;
-        self.solver = Solver::with_backend_and_smt(kind, Self::smt_options(&self.opts));
-    }
-
     /// Registers a semi-automatic tactic.
     pub fn register_tactic(&mut self, name: &str, f: TacticFn<S>) {
         self.tactics.insert(Symbol::new(name), f);

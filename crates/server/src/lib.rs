@@ -24,13 +24,13 @@ pub mod json;
 pub mod protocol;
 pub mod server;
 
-pub use db::{chain_program, mode_label, parse_mode, workload, ProgramDb, Workload, WORKLOADS};
+pub use db::{
+    chain_program, mode_label, parse_mode, workload, ProgramDb, Workload, DEFAULT_MODE, WORKLOADS,
+};
 pub use depgraph::{DepKey, DepTracker};
 pub use json::{parse, JsonError, Value};
 pub use protocol::{parse_request, Envelope, Request};
-pub use server::{
-    serve_stdio, serve_stdio_shared, serve_stdio_with, serve_unix, DispatchError, ServerCore,
-};
+pub use server::{lint_array, serve_stdio_shared, serve_unix, DispatchError, ServerCore};
 
 /// The item-fingerprint contract the daemon's dependency tracker relies on.
 /// The tracker records proof-cache's stable fingerprints (the values written

@@ -7,9 +7,10 @@
 //! gillian cache stats|clear|gc ...  # inspect / maintain the on-disk cache
 //! ```
 
+use driver::HybridSession;
 use gillian_server::{
-    mode_label, parse_mode, serve_stdio_shared, serve_unix, workload, ProgramDb, ServerCore,
-    WORKLOADS,
+    lint_array, mode_label, parse_mode, serve_stdio_shared, serve_unix, workload, ServerCore,
+    Value, Workload, DEFAULT_MODE, WORKLOADS,
 };
 use proof_cache::{resolve_cache_dir, CacheStore, DirStore};
 use std::path::PathBuf;
@@ -188,31 +189,10 @@ fn lint_command(args: &[String]) {
             name => names.push(name.to_string()),
         }
     }
-    let mode = mode.map(|s| match parse_mode(&s) {
-        Some(m) => m,
-        None => die(&format!("unknown mode `{s}` (use \"ts\" or \"fc\")")),
-    });
-    let selected: Vec<&str> = if names.is_empty() {
-        WORKLOADS.iter().map(|w| w.name).collect()
-    } else {
-        names
-            .iter()
-            .map(|n| match workload(n) {
-                Some(w) => w.name,
-                None => die(&format!("unknown workload `{n}`")),
-            })
-            .collect()
-    };
-
     let mut errors = 0usize;
     let mut warnings = 0usize;
-    for name in selected {
-        let db = match ProgramDb::load(name, mode, Some(1), Some(1)) {
-            Ok(db) => db,
-            Err(e) => die(&e),
-        };
-        let mut report = db
-            .session
+    for (name, session) in selected_sessions(&names, mode) {
+        let mut report = session
             .lint_report()
             .cloned()
             .expect("sessions lint at build time");
@@ -223,29 +203,20 @@ fn lint_command(args: &[String]) {
                 .diagnostics
                 .retain(|d| !allow.iter().any(|a| a == d.code));
         }
-        let mode = mode_label(db.mode);
+        let mode = mode_label(session.mode());
         let e = report.errors().count();
         let w = report.warnings().count();
         errors += e;
         warnings += w;
         if json {
-            let diags: Vec<String> = report
-                .diagnostics
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{{\"code\":\"{}\",\"severity\":\"{}\",\"span\":{},\"message\":{}}}",
-                        d.code,
-                        d.severity.label(),
-                        driver::json_escape(&d.span.to_string()),
-                        driver::json_escape(&d.message),
-                    )
-                })
-                .collect();
-            println!(
-                "{{\"workload\":\"{name}\",\"mode\":\"{mode}\",\"errors\":{e},\"warnings\":{w},\"lints\":[{}]}}",
-                diags.join(",")
-            );
+            let line = Value::Object(vec![
+                ("workload".to_string(), Value::str(name)),
+                ("mode".to_string(), Value::str(mode)),
+                ("errors".to_string(), Value::Int(e as i64)),
+                ("warnings".to_string(), Value::Int(w as i64)),
+                ("lints".to_string(), lint_array(&report.diagnostics)),
+            ]);
+            println!("{line}");
         } else {
             let verdict = if e + w == 0 {
                 "clean".to_string()
@@ -283,63 +254,50 @@ fn analyze_command(args: &[String]) {
             name => names.push(name.to_string()),
         }
     }
-    let mode = mode.map(|s| match parse_mode(&s) {
-        Some(m) => m,
-        None => die(&format!("unknown mode `{s}` (use \"ts\" or \"fc\")")),
-    });
-    let selected: Vec<&str> = if names.is_empty() {
-        WORKLOADS.iter().map(|w| w.name).collect()
-    } else {
-        names
-            .iter()
-            .map(|n| match workload(n) {
-                Some(w) => w.name,
-                None => die(&format!("unknown workload `{n}`")),
-            })
-            .collect()
-    };
-
-    for name in selected {
-        let db = match ProgramDb::load(name, mode, Some(1), Some(1)) {
-            Ok(db) => db,
-            Err(e) => die(&e),
-        };
-        let table = db.session.invariants();
-        let mode = mode_label(db.mode);
+    for (name, session) in selected_sessions(&names, mode) {
+        let table = session.invariants();
+        let mode = mode_label(session.mode());
+        let mut sorted: Vec<_> = table.procs.values().collect();
+        sorted.sort_by_key(|p| p.name.as_str());
         if json {
-            let mut procs: Vec<String> = Vec::new();
-            let mut sorted: Vec<_> = table.procs.values().collect();
-            sorted.sort_by_key(|p| p.name.as_str());
-            for p in sorted {
-                let entries: Vec<String> = p
-                    .entry
-                    .iter()
-                    .map(|s| match s {
-                        None => "null".to_string(),
-                        Some(s) if s.is_empty() => driver::json_escape("top"),
-                        Some(s) => driver::json_escape(&s.render()),
-                    })
-                    .collect();
-                procs.push(format!(
-                    "{{\"name\":{},\"fingerprint\":\"{:016x}\",\"invariants\":[{}]}}",
-                    driver::json_escape(p.name.as_str()),
-                    p.fingerprint,
-                    entries.join(",")
-                ));
-            }
-            println!(
-                "{{\"workload\":\"{name}\",\"mode\":\"{mode}\",\"fingerprint\":\"{:016x}\",\"procs\":[{}]}}",
-                table.fingerprint,
-                procs.join(",")
-            );
+            let procs = sorted
+                .into_iter()
+                .map(|p| {
+                    let entries = p
+                        .entry
+                        .iter()
+                        .map(|s| match s {
+                            None => Value::Null,
+                            Some(s) if s.is_empty() => Value::str("top"),
+                            Some(s) => Value::str(s.render()),
+                        })
+                        .collect();
+                    Value::Object(vec![
+                        ("name".to_string(), Value::str(p.name.as_str())),
+                        (
+                            "fingerprint".to_string(),
+                            Value::str(format!("{:016x}", p.fingerprint)),
+                        ),
+                        ("invariants".to_string(), Value::Array(entries)),
+                    ])
+                })
+                .collect();
+            let line = Value::Object(vec![
+                ("workload".to_string(), Value::str(name)),
+                ("mode".to_string(), Value::str(mode)),
+                (
+                    "fingerprint".to_string(),
+                    Value::str(format!("{:016x}", table.fingerprint)),
+                ),
+                ("procs".to_string(), Value::Array(procs)),
+            ]);
+            println!("{line}");
         } else {
             println!(
                 "{name} ({mode}): {} proc(s), fingerprint {:016x}",
                 table.procs.len(),
                 table.fingerprint
             );
-            let mut sorted: Vec<_> = table.procs.values().collect();
-            sorted.sort_by_key(|p| p.name.as_str());
             for p in sorted {
                 println!("  proc {} [{:016x}]:", p.name, p.fingerprint);
                 for (i, s) in p.entry.iter().enumerate() {
@@ -353,6 +311,40 @@ fn analyze_command(args: &[String]) {
             }
         }
     }
+}
+
+/// The sessions `lint` and `analyze` inspect, built one at a time from the
+/// workload registry: each named workload (all of them by default) in
+/// `mode`, else its default mode, with one worker (compilation, spec
+/// elaboration, lint and abstract interpretation; no proof search).
+fn selected_sessions(
+    names: &[String],
+    mode: Option<String>,
+) -> impl Iterator<Item = (&'static str, HybridSession)> {
+    let mode = mode.map(|s| match parse_mode(&s) {
+        Some(m) => m,
+        None => die(&format!("unknown mode `{s}` (use \"ts\" or \"fc\")")),
+    });
+    let selected: Vec<&'static Workload> = if names.is_empty() {
+        WORKLOADS.iter().collect()
+    } else {
+        names
+            .iter()
+            .map(|n| match workload(n) {
+                Some(w) => w,
+                None => die(&format!("unknown workload `{n}`")),
+            })
+            .collect()
+    };
+    selected.into_iter().map(move |w| {
+        let session = w
+            .builder(mode.unwrap_or(DEFAULT_MODE))
+            .workers(1)
+            .branch_parallelism(1)
+            .build()
+            .unwrap_or_else(|e| die(&e.to_string()));
+        (w.name, session)
+    })
 }
 
 /// `gillian cache stats|clear|gc` — maintenance of the on-disk proof cache.

@@ -20,7 +20,7 @@
 //! [`HybridSession::lookup_record`]: driver::HybridSession::lookup_record
 //! [`HybridSession::cache_record`]: driver::HybridSession::cache_record
 
-use crate::db::{mode_label, parse_mode, workload, ProgramDb};
+use crate::db::{mode_label, parse_mode, workload, ProgramDb, DEFAULT_MODE};
 use crate::depgraph::{DepKey, DepTracker};
 use crate::json::Value;
 use crate::protocol::{parse_request, Request};
@@ -230,7 +230,7 @@ impl ServerCore {
             ),
         };
         let w = workload(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
-        let mode = mode.unwrap_or(w.default_mode);
+        let mode = mode.unwrap_or(DEFAULT_MODE);
         let key = format!("{}:{}", w.name, mode_label(mode));
 
         // Re-loading a resident pair switches back to the warm session; the
@@ -467,16 +467,7 @@ impl ServerCore {
             candidate.add_spec(spec.clone());
             gillian_lint::lint_spec(&candidate, func, &loaded.db.session.lint_options())
         };
-        if lint_findings.iter().any(|d| d.severity == Severity::Error) {
-            let first = lint_findings
-                .iter()
-                .find(|d| d.severity == Severity::Error)
-                .expect("an error exists");
-            return Err(DispatchError {
-                message: format!("update_spec rejected by lint: {first}"),
-                lints: lint_findings,
-            });
-        }
+        let lint_findings = lint_gate("update_spec", lint_findings)?;
 
         loaded.db.side_ctx.add_spec(spec.clone());
 
@@ -552,21 +543,14 @@ impl ServerCore {
         // Automatic linting on the touched procedure: errors reject the
         // invalidation (a malformed body can only waste re-proof work),
         // warnings are attached to the response.
-        let lint_findings = gillian_lint::lint_proc(
-            &loaded.db.session.verifier().engine.prog,
-            func,
-            &loaded.db.session.lint_options(),
-        );
-        if lint_findings.iter().any(|d| d.severity == Severity::Error) {
-            let first = lint_findings
-                .iter()
-                .find(|d| d.severity == Severity::Error)
-                .expect("an error exists");
-            return Err(DispatchError {
-                message: format!("update_fn rejected by lint: {first}"),
-                lints: lint_findings,
-            });
-        }
+        let lint_findings = lint_gate(
+            "update_fn",
+            gillian_lint::lint_proc(
+                &loaded.db.session.verifier().engine.prog,
+                func,
+                &loaded.db.session.lint_options(),
+            ),
+        )?;
         // The body itself cannot be edited over the wire (programs are
         // compiled in), so an `update_fn` conservatively invalidates every
         // proof that read the procedure: its own, plus any caller that
@@ -699,6 +683,23 @@ impl ServerCore {
     }
 }
 
+/// The lint gate of an edit request: `findings` pass through when none is
+/// an error; otherwise `what` is rejected with the first error in the
+/// message and every finding on the wire.
+fn lint_gate(
+    what: &str,
+    findings: Vec<LintDiagnostic>,
+) -> Result<Vec<LintDiagnostic>, DispatchError> {
+    let first_error = findings.iter().find(|d| d.severity == Severity::Error);
+    match first_error.map(|first| format!("{what} rejected by lint: {first}")) {
+        None => Ok(findings),
+        Some(message) => Err(DispatchError {
+            message,
+            lints: findings,
+        }),
+    }
+}
+
 /// Seeds a fresh dependency tracker from the disk store: every target with
 /// a matching record (see [`HybridSession::lookup_record`]) is marked clean
 /// with the verified outcome the record stands for, and the record's
@@ -819,7 +820,9 @@ fn lint_value(d: &LintDiagnostic) -> Value {
     ])
 }
 
-fn lint_array(diags: &[LintDiagnostic]) -> Value {
+/// Lint diagnostics as a wire array (also the `lints` field of
+/// `gillian lint --json`).
+pub fn lint_array(diags: &[LintDiagnostic]) -> Value {
     Value::Array(diags.iter().map(lint_value).collect())
 }
 
@@ -828,20 +831,10 @@ fn string_array(names: &[String]) -> Value {
 }
 
 /// Serves newline-delimited JSON over stdin/stdout until `shutdown` (or
-/// EOF). One request per line, one response per line.
-pub fn serve_stdio() -> std::io::Result<()> {
-    serve_stdio_with(ServerCore::new())
-}
-
-/// [`serve_stdio`] over a caller-configured core (e.g. one holding a
-/// persistent proof-cache store).
-pub fn serve_stdio_with(core: ServerCore) -> std::io::Result<()> {
-    serve_stdio_shared(&Arc::new(Mutex::new(core)))
-}
-
-/// [`serve_stdio`] over a *shared* core: the binary hands the same handle
-/// to its SIGTERM/SIGINT watcher, which flushes the proof cache and exits
-/// while this loop is blocked on `read_line`.
+/// EOF), one response line per request line. The core is shared: the
+/// binary hands the same handle to its SIGTERM/SIGINT watcher, which
+/// flushes the proof cache and exits while this loop is blocked on
+/// `read_line`.
 pub fn serve_stdio_shared(core: &Arc<Mutex<ServerCore>>) -> std::io::Result<()> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -1311,12 +1304,8 @@ mod tests {
     fn batch_and_daemon_write_identical_records() {
         let w = workload("chain").unwrap();
         let batch_store = Arc::new(proof_cache::MemStore::new());
-        let batch = HybridSession::builder()
-            .name(w.session_name)
-            .program((w.program)())
-            .mode(w.default_mode)
-            .specs(w.specs)
-            .verify_fns(w.functions.iter().copied())
+        let batch = w
+            .builder(DEFAULT_MODE)
             .workers(1)
             .branch_parallelism(1)
             .cache(batch_store.clone())

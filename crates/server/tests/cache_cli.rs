@@ -2,6 +2,7 @@
 //! subcommand and the `serve --cache-dir` persistence loop, driven exactly
 //! as a user would — through process spawns, pipes and the filesystem.
 
+use gillian_server::{parse, Value, WORKLOADS};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -140,5 +141,48 @@ fn cache_subcommand_rejects_bad_usage() {
     ] {
         let out = gillian().args(&bad).output().unwrap();
         assert!(!out.status.success(), "{bad:?} should fail");
+    }
+}
+
+/// `gillian lint --json` and `gillian analyze --json` print one object per
+/// registered workload, in registry order; every line parses with the
+/// daemon's strict JSON parser and carries its workload, mode and the
+/// `lints` / `procs` array.
+#[test]
+fn lint_and_analyze_json_parse_for_every_workload() {
+    for mode in ["ts", "fc"] {
+        for (cmd, array) in [("lint", "lints"), ("analyze", "procs")] {
+            let out = gillian()
+                .args([cmd, "--json", "--mode", mode])
+                .output()
+                .expect("run gillian");
+            assert!(out.status.success(), "gillian {cmd} --mode {mode} failed");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            let lines: Vec<&str> = stdout.lines().collect();
+            assert_eq!(lines.len(), WORKLOADS.len(), "{cmd}: one line per workload");
+            for (line, w) in lines.iter().zip(WORKLOADS) {
+                let v = parse(line).unwrap_or_else(|e| panic!("{cmd} --json: {e}: {line}"));
+                assert_eq!(v.get("workload").and_then(Value::as_str), Some(w.name));
+                assert_eq!(v.get("mode").and_then(Value::as_str), Some(mode));
+                let items = v
+                    .get(array)
+                    .and_then(Value::as_array)
+                    .unwrap_or_else(|| panic!("{cmd} --json has no `{array}` array: {line}"));
+                if cmd == "lint" {
+                    // Shipped workloads lint clean.
+                    assert!(items.is_empty(), "{line}");
+                    assert_eq!(v.get("errors").and_then(Value::as_i64), Some(0));
+                    assert_eq!(v.get("warnings").and_then(Value::as_i64), Some(0));
+                } else {
+                    assert!(!items.is_empty(), "{}: no procs analyzed", w.name);
+                    for p in items {
+                        assert!(p.get("name").and_then(Value::as_str).is_some(), "{line}");
+                        let fp = p.get("fingerprint").and_then(Value::as_str).unwrap();
+                        assert_eq!(fp.len(), 16, "fingerprints are 16 hex digits");
+                        assert!(p.get("invariants").and_then(Value::as_array).is_some());
+                    }
+                }
+            }
+        }
     }
 }

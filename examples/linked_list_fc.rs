@@ -5,7 +5,10 @@ use case_studies::{linked_list, SpecMode};
 
 fn main() {
     for mode in [SpecMode::TypeSafety, SpecMode::FunctionalCorrectness] {
-        let report = linked_list::session(mode).verify_all();
+        let session = linked_list::WORKLOAD.builder(mode).build();
+        let report = session
+            .expect("LinkedList case study compiles")
+            .verify_all();
         print!("{}", report.render_text());
     }
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example linked_list_full -- pop_front fc
 //! ```
 
-use case_studies::{linked_list, SpecMode};
+use case_studies::{linked_list, SpecMode, Workload};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -17,7 +17,18 @@ fn main() {
         Some("ts") => SpecMode::TypeSafety,
         _ => SpecMode::FunctionalCorrectness,
     };
-    let session = linked_list::session_for(mode, &[function.as_str()]);
+    let target = linked_list::FUNCTIONS_FULL
+        .iter()
+        .find(|f| **f == function)
+        .unwrap_or_else(|| panic!("`{function}` is not in {:?}", linked_list::FUNCTIONS_FULL));
+    let one = Workload {
+        functions: std::slice::from_ref(target),
+        ..linked_list::WORKLOAD
+    };
+    let session = one
+        .builder(mode)
+        .build()
+        .expect("LinkedList case study compiles");
     let report = session.verify_all();
     print!("{}", report.render_text());
     println!("engine stats: {:#?}", report.stats);

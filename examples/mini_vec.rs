@@ -4,7 +4,11 @@
 use case_studies::{mini_vec, SpecMode};
 
 fn main() {
-    let report = mini_vec::session(SpecMode::FunctionalCorrectness).verify_all();
+    let session = mini_vec::WORKLOAD
+        .builder(SpecMode::FunctionalCorrectness)
+        .build()
+        .expect("MiniVec case study compiles");
+    let report = session.verify_all();
     print!("{}", report.render_text());
     println!("\nJSON: {}", report.to_json());
 }

@@ -10,7 +10,10 @@
 use case_studies::{linked_list, SpecMode};
 
 fn main() {
-    let session = linked_list::session(SpecMode::FunctionalCorrectness);
+    let session = linked_list::WORKLOAD
+        .builder(SpecMode::FunctionalCorrectness)
+        .build()
+        .expect("LinkedList case study compiles");
     let report = session.verify_all();
     print!("{}", report.render_text());
 

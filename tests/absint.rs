@@ -5,8 +5,8 @@
 //! guarantee (static branch pruning is invisible in verdicts and diagnostics
 //! and only ever removes solver work).
 
-use case_studies::table1::{table1_cases, table1_cases_with_prune, Table1Row};
-use case_studies::SpecMode;
+use case_studies::table1::{table1_cases, Table1Row};
+use case_studies::{linked_list, SpecMode, Workload};
 use driver::SolverStats;
 use gillian_engine::asrt::Asrt;
 use gillian_engine::gil::{Cmd, LogicCmd, Prog};
@@ -39,7 +39,10 @@ fn lint_session(session: &driver::HybridSession) -> LintReport {
 /// A linked-list FC program to mutate: the same seed the lint corpus uses,
 /// so the GL05x defects are planted in a real Table 1 workload.
 fn seed_prog() -> (Prog, BTreeSet<String>) {
-    let session = case_studies::linked_list::session(SpecMode::FunctionalCorrectness);
+    let session = linked_list::WORKLOAD
+        .builder(SpecMode::FunctionalCorrectness)
+        .build()
+        .unwrap();
     let engine = &session.verifier().engine;
     let tactics = engine
         .tactics
@@ -201,10 +204,10 @@ fn assert_no_gl05(report: &LintReport, context: &str) {
 /// the baseline is spotless.
 #[test]
 fn clean_sweep_table1_has_no_gl05x() {
-    for case in table1_cases(1) {
+    for case in table1_cases() {
         let name = case.name;
         let property = case.property;
-        let session = case.session();
+        let session = case.builder().workers(1).build().unwrap();
         assert_no_gl05(&lint_session(&session), &format!("{name} ({property})"));
     }
 }
@@ -229,18 +232,19 @@ fn clean_sweep_daemon_workloads_have_no_gl05x() {
 /// Runs the full Table 1 suite with the static-pruning oracle toggled,
 /// returning each row plus its per-session solver statistics.
 fn run_table1_prune(branch_parallelism: usize, prune: bool) -> Vec<(Table1Row, SolverStats)> {
-    table1_cases_with_prune(1, branch_parallelism, prune)
+    table1_cases()
         .into_iter()
         .map(|case| {
-            let (name, property, aloc) = (case.name, case.property, case.aloc);
-            let session = case.session();
-            let eloc = session.verifier().types.program.executable_lines();
+            let session = case
+                .builder()
+                .workers(1)
+                .branch_parallelism(branch_parallelism)
+                .static_prune(prune)
+                .build()
+                .unwrap();
             let report = session.verify_all();
             let solver = report.solver;
-            (
-                Table1Row::from_report(name, property, eloc, aloc, report),
-                solver,
-            )
+            (case.row(&session, report), solver)
         })
         .collect()
 }
@@ -359,11 +363,14 @@ fn table1_pruning_is_verdict_preserving_and_work_reducing() {
 #[test]
 fn full_linked_list_pruning_strictly_reduces_leaf_cases() {
     let run = |prune: bool| {
-        case_studies::linked_list::session_for(
-            SpecMode::FunctionalCorrectness,
-            case_studies::linked_list::FUNCTIONS_FULL,
-        )
-        .with_static_prune(prune)
+        Workload {
+            functions: linked_list::FUNCTIONS_FULL,
+            ..linked_list::WORKLOAD
+        }
+        .builder(SpecMode::FunctionalCorrectness)
+        .static_prune(prune)
+        .build()
+        .unwrap()
         .verify_all()
     };
     let pruned = run(true);

@@ -8,7 +8,7 @@
 //! least failing branch) and the caching backend computes every distinct
 //! query exactly once (concurrent askers park on the in-flight entry).
 
-use case_studies::table1::{table1_cases_with, Table1Row};
+use case_studies::table1::{table1_cases, Table1Row};
 use case_studies::{even_int, SpecMode};
 use driver::{HybridSession, SolverStats};
 use gillian_rust::gilsonite::lv;
@@ -19,18 +19,18 @@ use gillian_solver::Expr;
 /// statistics (every row owns its solver hub, so the counters are
 /// row-scoped and comparable across runs).
 fn run_table1(workers: usize, branch_parallelism: usize) -> Vec<(Table1Row, SolverStats)> {
-    table1_cases_with(workers, branch_parallelism)
+    table1_cases()
         .into_iter()
         .map(|case| {
-            let (name, property, aloc) = (case.name, case.property, case.aloc);
-            let session = case.session();
-            let eloc = session.verifier().types.program.executable_lines();
+            let session = case
+                .builder()
+                .workers(workers)
+                .branch_parallelism(branch_parallelism)
+                .build()
+                .unwrap();
             let report = session.verify_all();
             let solver = report.solver;
-            (
-                Table1Row::from_report(name, property, eloc, aloc, report),
-                solver,
-            )
+            (case.row(&session, report), solver)
         })
         .collect()
 }
@@ -149,8 +149,4 @@ fn branch_parallelism_knob_and_counters_are_reported() {
     assert!(json.contains("\"max_live_branches\":"));
     let text = report.render_text();
     assert!(text.contains("branch worker(s)"));
-
-    // The width can be changed on a built session without recompiling.
-    let rewidened = mixed_session(1).with_branch_parallelism(2);
-    assert_eq!(rewidened.branch_parallelism(), 2);
 }

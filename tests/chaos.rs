@@ -13,7 +13,7 @@
 //! under one lock and resets the plan on entry.
 
 use case_studies::{even_int, SpecMode};
-use driver::HybridSession;
+use driver::{HybridSession, SessionBuilder};
 use gillian_server::json::{parse, Value};
 use gillian_server::ServerCore;
 use std::sync::{Mutex, MutexGuard};
@@ -30,7 +30,7 @@ fn exclusive() -> MutexGuard<'static, ()> {
     guard
 }
 
-fn even_int_session() -> HybridSession {
+fn even_int_builder() -> SessionBuilder {
     HybridSession::builder()
         .name("EvenInt (chaos)")
         .program(even_int::program())
@@ -38,8 +38,10 @@ fn even_int_session() -> HybridSession {
         .specs(even_int::gilsonite)
         .verify_fns(even_int::FUNCTIONS.iter().copied())
         .workers(1)
-        .build()
-        .unwrap()
+}
+
+fn even_int_session() -> HybridSession {
+    even_int_builder().build().unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -52,7 +54,10 @@ fn even_int_session() -> HybridSession {
 #[test]
 fn tiny_deadline_times_out_every_target_with_structured_diagnostics() {
     let _guard = exclusive();
-    let session = even_int_session().with_target_timeout(Some(Duration::from_nanos(1)));
+    let session = even_int_builder()
+        .target_timeout(Duration::from_nanos(1))
+        .build()
+        .unwrap();
     let n_targets = session.targets().len();
     let report = session.verify_all();
     assert_eq!(report.cases.len(), n_targets, "the batch completes");
@@ -74,8 +79,10 @@ fn tiny_deadline_times_out_every_target_with_structured_diagnostics() {
 fn generous_deadline_is_invisible() {
     let _guard = exclusive();
     let free = even_int_session().verify_all();
-    let budgeted = even_int_session()
-        .with_target_timeout(Some(Duration::from_secs(600)))
+    let budgeted = even_int_builder()
+        .target_timeout(Duration::from_secs(600))
+        .build()
+        .unwrap()
         .verify_all();
     assert!(free.all_verified(), "EvenInt verifies fault-free");
     assert_eq!(free.cases.len(), budgeted.cases.len());
@@ -91,8 +98,10 @@ fn generous_deadline_is_invisible() {
 #[test]
 fn timeout_diagnostics_render_in_text_and_json() {
     let _guard = exclusive();
-    let report = even_int_session()
-        .with_target_timeout(Some(Duration::from_nanos(1)))
+    let report = even_int_builder()
+        .target_timeout(Duration::from_nanos(1))
+        .build()
+        .unwrap()
         .verify_all();
     let text = report.render_text();
     assert!(
@@ -160,7 +169,7 @@ fn daemon_request_timeout_is_transient_and_restored() {
 #[cfg(feature = "faults")]
 mod injection {
     use super::*;
-    use case_studies::table1::table1_cases_with;
+    use case_studies::table1::table1_cases;
     use gillian_faults::FaultPlan;
     use std::sync::Arc;
 
@@ -180,12 +189,13 @@ mod injection {
 
     /// (name, verified) per case of one full Table 1 run.
     fn run_table1() -> Vec<(String, String, Vec<(String, bool, bool)>)> {
-        table1_cases_with(1, 1)
+        table1_cases()
             .into_iter()
             .map(|case| {
                 let name = case.name.to_string();
                 let property = case.property.to_string();
-                let report = case.session().verify_all();
+                let session = case.builder().workers(1).branch_parallelism(1);
+                let report = session.build().unwrap().verify_all();
                 let cases = report
                     .cases
                     .iter()
@@ -388,8 +398,10 @@ mod injection {
 
         gillian_faults::install(FaultPlan::parse("cache.write@1=err").unwrap());
         let store = Arc::new(proof_cache::DirStore::new(&dir));
-        let cold = even_int_session()
-            .with_cache(store.clone() as Arc<dyn proof_cache::CacheStore>)
+        let cold = even_int_builder()
+            .cache(store.clone() as Arc<dyn proof_cache::CacheStore>)
+            .build()
+            .unwrap()
             .verify_all();
         assert!(
             cold.all_verified(),
@@ -404,8 +416,10 @@ mod injection {
 
         // Same process, same store handle: the lost record is served from
         // the in-memory overflow, so the warm run is fully cached.
-        let warm = even_int_session()
-            .with_cache(store.clone() as Arc<dyn proof_cache::CacheStore>)
+        let warm = even_int_builder()
+            .cache(store.clone() as Arc<dyn proof_cache::CacheStore>)
+            .build()
+            .unwrap()
             .verify_all();
         assert!(warm.all_verified());
         assert_eq!(
@@ -417,8 +431,10 @@ mod injection {
         // lost record is a miss, everything else hits — and verdicts are
         // cold-identical either way.
         let fresh = Arc::new(proof_cache::DirStore::new(&dir));
-        let rerun = even_int_session()
-            .with_cache(fresh as Arc<dyn proof_cache::CacheStore>)
+        let rerun = even_int_builder()
+            .cache(fresh as Arc<dyn proof_cache::CacheStore>)
+            .build()
+            .unwrap()
             .verify_all();
         assert!(rerun.all_verified(), "re-proving the lost record succeeds");
         assert_eq!(

@@ -3,10 +3,11 @@
 //! and the driver's JSON report round-tripped through the server's strict
 //! parser.
 
+use case_studies::SpecMode;
 use driver::HybridSession;
 use gillian_rust::gilsonite::lv;
 use gillian_server::json::{parse, Value};
-use gillian_server::{parse_mode, ProgramDb, ServerCore};
+use gillian_server::{mode_label, parse_mode, ProgramDb, ServerCore, WORKLOADS};
 use gillian_solver::Expr;
 use std::sync::{Arc, Mutex};
 
@@ -143,6 +144,24 @@ fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
             names(&v, "reverified").is_empty(),
             "{w}:{m} stays warm across the chain edit"
         );
+    }
+}
+
+/// The daemon and the batch driver build sessions from one registry: for
+/// every workload in both modes, `load` answers exactly the targets of the
+/// batch session built from the same registry entry, in the same order.
+#[test]
+fn daemon_load_targets_match_batch_sessions_for_every_workload() {
+    let mut core = ServerCore::new();
+    for w in WORKLOADS {
+        for mode in [SpecMode::TypeSafety, SpecMode::FunctionalCorrectness] {
+            let m = mode_label(mode);
+            let v = ok(&core.handle_line(&load_line(w.name, m)));
+            let batch = w.builder(mode).workers(1).build().unwrap();
+            let expected: Vec<String> = batch.targets().iter().map(|t| t.name.clone()).collect();
+            assert!(!expected.is_empty(), "{}:{m} has targets", w.name);
+            assert_eq!(names(&v, "targets"), expected, "{}:{m}", w.name);
+        }
     }
 }
 

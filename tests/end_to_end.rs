@@ -3,7 +3,7 @@
 //! checking that broken code or wrong specifications are rejected. All
 //! sessions are driven through the `HybridSession` front door.
 
-use case_studies::{even_int, linked_list, linked_pair, SpecMode};
+use case_studies::{even_int, linked_list, linked_pair, SpecMode, Workload};
 use creusot_lite::{elaborate, ExternSpecs, Term};
 use driver::HybridSession;
 use gillian_rust::gilsonite::lv;
@@ -12,7 +12,11 @@ use gillian_solver::Expr;
 
 #[test]
 fn linked_list_functional_correctness_end_to_end() {
-    let report = linked_list::session(SpecMode::FunctionalCorrectness).verify_all();
+    let report = linked_list::WORKLOAD
+        .builder(SpecMode::FunctionalCorrectness)
+        .build()
+        .unwrap()
+        .verify_all();
     assert!(report.all_verified(), "{}", report.render_text());
 }
 
@@ -22,21 +26,35 @@ fn linked_list_functional_correctness_end_to_end() {
 /// suite.
 #[test]
 fn linked_list_full_api_end_to_end() {
-    let report =
-        linked_list::session_for(SpecMode::FunctionalCorrectness, linked_list::FUNCTIONS_FULL)
-            .verify_all();
+    let full = Workload {
+        functions: linked_list::FUNCTIONS_FULL,
+        ..linked_list::WORKLOAD
+    };
+    let report = full
+        .builder(SpecMode::FunctionalCorrectness)
+        .build()
+        .unwrap()
+        .verify_all();
     assert!(report.all_verified(), "{}", report.render_text());
 }
 
 #[test]
 fn even_int_end_to_end() {
-    let report = even_int::session(SpecMode::FunctionalCorrectness).verify_all();
+    let report = even_int::WORKLOAD
+        .builder(SpecMode::FunctionalCorrectness)
+        .build()
+        .unwrap()
+        .verify_all();
     assert!(report.all_verified(), "{}", report.render_text());
 }
 
 #[test]
 fn linked_pair_end_to_end() {
-    let report = linked_pair::session(SpecMode::TypeSafety).verify_all();
+    let report = linked_pair::WORKLOAD
+        .builder(SpecMode::TypeSafety)
+        .build()
+        .unwrap()
+        .verify_all();
     assert!(report.all_verified(), "{}", report.render_text());
 }
 

@@ -5,14 +5,14 @@
 use case_studies::table1::{table1, table1_with_workers};
 use case_studies::{even_int, linked_list, SpecMode};
 use creusot_lite::{elaborate, ExternSpecs};
-use driver::{BackendKind, HybridSession};
+use driver::{BackendKind, HybridSession, SessionBuilder};
 use gillian_rust::gilsonite::lv;
 use gillian_rust::verifier::VerifyDiagnostic;
 use gillian_solver::{Expr, Symbol};
 
-/// Builds the LinkedList session with its Pearlite extern specs installed
-/// through the builder (the hybrid bridge inside the API).
-fn linked_list_hybrid_session() -> HybridSession {
+/// The LinkedList session with its Pearlite extern specs installed through
+/// the builder (the hybrid bridge inside the API).
+fn linked_list_hybrid() -> SessionBuilder {
     HybridSession::builder()
         .name("LinkedList (hybrid)")
         .program(linked_list::program())
@@ -20,8 +20,10 @@ fn linked_list_hybrid_session() -> HybridSession {
         .specs(linked_list::gilsonite)
         .extern_specs(ExternSpecs::linked_list())
         .verify_fns(linked_list::FUNCTIONS.iter().copied())
-        .build()
-        .expect("hybrid session builds")
+}
+
+fn linked_list_hybrid_session() -> HybridSession {
+    linked_list_hybrid().build().expect("hybrid session builds")
 }
 
 /// The same session, with the extern specs elaborated *by hand* in a
@@ -87,7 +89,7 @@ fn hybrid_session_verifies_with_elaborated_specs() {
 
 /// A session whose batch contains both passing and failing obligations,
 /// mirroring real mixed workloads.
-fn mixed_even_int_session(workers: usize) -> HybridSession {
+fn mixed_even_int(workers: usize) -> SessionBuilder {
     HybridSession::builder()
         .name("EvenInt (mixed)")
         .program(even_int::program())
@@ -108,8 +110,10 @@ fn mixed_even_int_session(workers: usize) -> HybridSession {
         })
         .verify_fns(even_int::FUNCTIONS.iter().copied())
         .workers(workers)
-        .build()
-        .unwrap()
+}
+
+fn mixed_even_int_session(workers: usize) -> HybridSession {
+    mixed_even_int(workers).build().unwrap()
 }
 
 /// Determinism: `verify_all` with 1 worker and with N workers produces
@@ -190,7 +194,11 @@ fn report_json_includes_diagnostics() {
 fn backends_agree_on_mixed_batch_verdicts() {
     let reference = mixed_even_int_session(1).verify_all();
     for kind in BackendKind::ALL {
-        let report = mixed_even_int_session(1).with_backend(kind).verify_all();
+        let report = mixed_even_int(1)
+            .backend(kind)
+            .build()
+            .unwrap()
+            .verify_all();
         assert_eq!(report.backend, kind, "report names its backend");
         assert_eq!(report.cases.len(), reference.cases.len());
         for (r, s) in report.cases.iter().zip(reference.cases.iter()) {
@@ -212,11 +220,15 @@ fn backends_agree_on_mixed_batch_verdicts() {
 /// different orders — produce identical verdicts and diagnostics.
 #[test]
 fn caching_backend_is_deterministic_across_worker_counts() {
-    let serial = mixed_even_int_session(1)
-        .with_backend(BackendKind::CachedIncremental)
+    let serial = mixed_even_int(1)
+        .backend(BackendKind::CachedIncremental)
+        .build()
+        .unwrap()
         .verify_all();
-    let parallel = mixed_even_int_session(4)
-        .with_backend(BackendKind::CachedIncremental)
+    let parallel = mixed_even_int(4)
+        .backend(BackendKind::CachedIncremental)
+        .build()
+        .unwrap()
         .verify_all();
     assert_eq!(serial.cases.len(), parallel.cases.len());
     for (s, p) in serial.cases.iter().zip(parallel.cases.iter()) {
@@ -227,8 +239,8 @@ fn caching_backend_is_deterministic_across_worker_counts() {
     }
 }
 
-/// The session-level backend selector works both at build time and on a
-/// built session, and the report carries per-backend solver statistics.
+/// The session-level backend selector works at build time, and the report
+/// carries per-backend solver statistics.
 #[test]
 fn backend_selector_and_solver_stats_are_reported() {
     let session = HybridSession::builder()
@@ -249,9 +261,11 @@ fn backend_selector_and_solver_stats_are_reported() {
     assert_eq!(report.solver.cache_hits, 0, "one-shot has no cache");
     assert!(report.to_json().contains("\"backend\":\"one-shot\""));
 
-    // Swapping the backend on the built session re-runs on a fresh hub.
-    let cached = linked_list_hybrid_session()
-        .with_backend(BackendKind::CachedIncremental)
+    // Another backend on the same workload runs on its own hub.
+    let cached = linked_list_hybrid()
+        .backend(BackendKind::CachedIncremental)
+        .build()
+        .unwrap()
         .verify_all();
     assert!(cached.all_verified());
     assert!(

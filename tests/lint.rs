@@ -40,9 +40,9 @@ fn lint_session(session: &driver::HybridSession) -> LintReport {
 /// as a CI gate if the baseline is spotless.
 #[test]
 fn false_positive_guard_table1_lints_clean() {
-    for case in table1_cases(1) {
+    for case in table1_cases() {
         let name = case.name;
-        let session = case.session();
+        let session = case.builder().workers(1).build().unwrap();
         let report = lint_session(&session);
         assert!(
             report.is_clean(),
@@ -72,9 +72,9 @@ fn false_positive_guard_daemon_workloads_lint_clean() {
 /// Table 1 target, with the kernel-only backend.
 #[test]
 fn vacuity_budget_holds_on_table1() {
-    for case in table1_cases(1) {
+    for case in table1_cases() {
         let name = case.name;
-        let session = case.session();
+        let session = case.builder().workers(1).build().unwrap();
         let report = lint_session(&session);
         assert!(
             report.vacuity_overruns.is_empty(),
@@ -92,7 +92,10 @@ fn vacuity_budget_holds_on_table1() {
 /// A linked-list FC program to mutate: rich enough to contain procs, specs,
 /// recursive predicates and ghost commands.
 fn seed_prog() -> (Prog, BTreeSet<String>) {
-    let session = case_studies::linked_list::session(SpecMode::FunctionalCorrectness);
+    let session = case_studies::linked_list::WORKLOAD
+        .builder(SpecMode::FunctionalCorrectness)
+        .build()
+        .unwrap();
     let engine = &session.verifier().engine;
     let tactics = engine
         .tactics

@@ -28,7 +28,7 @@ fn tempdir(tag: &str) -> PathBuf {
 /// processes must produce these byte-for-byte identically — that is the
 /// whole premise of a *persistent* content-addressed cache.
 fn stable_hash_dump(reverse_build_order: bool) -> Vec<String> {
-    let mut cases = table1_cases(1);
+    let mut cases = table1_cases();
     if reverse_build_order {
         // Building the sessions in the opposite order permutes every
         // Symbol id and TermId; name-based stable hashes must not notice.
@@ -37,7 +37,7 @@ fn stable_hash_dump(reverse_build_order: bool) -> Vec<String> {
     let mut lines = Vec::new();
     for case in cases {
         let label = format!("{}/{}", case.name, case.property);
-        let session = case.session();
+        let session = case.builder().workers(1).build().unwrap();
         let namespace = session.cache_namespace();
         let prog = &session.verifier().engine.prog;
         lines.push(format!("stablehash {label} ns {namespace:016x}"));
@@ -119,8 +119,9 @@ fn fresh_sessions_reprove_zero_table1_targets() {
     let store: Arc<dyn CacheStore> = Arc::new(DirStore::new(&dir));
 
     let mut cold_misses = 0;
-    for case in table1_cases(1) {
-        let report = case.session().with_cache(Arc::clone(&store)).verify_all();
+    for case in table1_cases() {
+        let session = case.builder().workers(1).cache(Arc::clone(&store));
+        let report = session.build().unwrap().verify_all();
         assert!(report.all_verified(), "cold: {}", report.render_text());
         assert_eq!(report.solver.disk_cache_hits, 0);
         cold_misses += report.solver.disk_cache_misses;
@@ -128,8 +129,9 @@ fn fresh_sessions_reprove_zero_table1_targets() {
     assert!(cold_misses > 0);
 
     let mut warm_hits = 0;
-    for case in table1_cases(1) {
-        let report = case.session().with_cache(Arc::clone(&store)).verify_all();
+    for case in table1_cases() {
+        let session = case.builder().workers(1).cache(Arc::clone(&store));
+        let report = session.build().unwrap().verify_all();
         assert!(report.all_verified(), "warm: {}", report.render_text());
         assert_eq!(report.solver.disk_cache_misses, 0, "re-proves zero targets");
         assert_eq!(report.solver.unsat_queries, 0, "no kernel queries ran");

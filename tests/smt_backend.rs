@@ -129,12 +129,15 @@ fn table1_verdicts_identical_under_smtlib() {
     if solver_or_skip("table1_verdicts_identical_under_smtlib").is_none() {
         return;
     }
-    for (case, case_again) in table1_cases(1).into_iter().zip(table1_cases(1)) {
+    for case in table1_cases() {
         let name = case.name;
-        let reference = case.session().verify_all();
-        let smt = case_again
-            .session()
-            .with_backend(BackendKind::SmtLib)
+        let reference = case.builder().workers(1).build().unwrap().verify_all();
+        let smt = case
+            .builder()
+            .workers(1)
+            .backend(BackendKind::SmtLib)
+            .build()
+            .unwrap()
             .verify_all();
         assert_eq!(smt.backend, BackendKind::SmtLib);
         assert_eq!(
